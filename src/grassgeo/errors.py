@@ -6,7 +6,7 @@ class GrassGeoError(Exception):
 
 
 class ConvergenceError(GrassGeoError):
-    """An iterative factorization failed to converge within its sweep cap."""
+    """A LAPACK factorization (SVD or Hermitian eigensolver) did not converge."""
 
 
 class DimensionMismatchError(GrassGeoError, ValueError):

@@ -1,10 +1,13 @@
 """Dense linear-algebra substrate.
 
-Small-matrix factorizations used by every other module: one-sided Jacobi
-SVD, cyclic Jacobi Hermitian eigendecomposition, Cholesky, inverse square
-root of a positive definite matrix, and QR-based orthonormalization.
-Jacobi methods are used for their high relative accuracy at the sizes this
-package targets (dimensions up to a few dozen).
+Thin wrappers over LAPACK (through numpy.linalg) for the small-matrix
+factorizations every other module uses: thin SVD, Hermitian
+eigendecomposition, inverse square root of a positive definite matrix and
+QR-based orthonormalization, plus a Cholesky factorization that reports the
+failing pivot.  The wrappers validate their input, return spectra sorted
+decreasing, and raise the package's typed errors; a LAPACK convergence
+failure surfaces as ConvergenceError.  Accuracy for small Jordan angles
+comes from the sine route in `subspaces`, not from the solver.
 
 All functions accept real or complex ndarrays and are pure.
 """
@@ -22,10 +25,9 @@ from .errors import (
     RankDeficiencyError,
 )
 
-# Default tolerances; overridable per call.
-KERNEL_TOL = 1e-12
 RANK_THRESHOLD = 1e-10
-MAX_SWEEPS = 60
+HERMITIAN_TOL = 1e-10
+PIVOT_TOL = 1e-14
 
 
 def _check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -34,6 +36,16 @@ def _check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatchError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
+    return a
+
+
+def _check_hermitian(a: np.ndarray) -> np.ndarray:
+    a = _check_finite(a)
+    n, nc = a.shape
+    if n != nc:
+        raise DimensionMismatchError(f"expected square matrix, got {n}x{nc}")
+    if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1.0):
+        raise DimensionMismatchError("matrix is not Hermitian within tolerance")
     return a
 
 
@@ -49,173 +61,55 @@ class SvdResult:
         return (self.left * self.singular_values) @ self.right.conj().T
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex):
-    """Unitary 2x2 J with J* [[app,apq],[apq*,aqq]] J diagonal.
-
-    Returns (c, s, phase) so that J = [[c, -s*conj(phase)], [s*phase, c]]
-    acting on columns (i, j) zeroes the off-diagonal entry.
-    """
-    mag = abs(apq)
-    phase = apq / mag  # caller guarantees mag > 0
-    tau = (aqq - app) / (2.0 * mag)
-    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-    c = 1.0 / np.hypot(1.0, t)
-    s = c * t
-    return c, s, phase
-
-
-def svd(a: np.ndarray, tol: float = KERNEL_TOL, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
-    """Thin singular value decomposition via one-sided Jacobi.
+def svd(a: np.ndarray) -> SvdResult:
+    """Thin singular value decomposition.
 
     Singular values are returned sorted decreasing; both frames have
-    orthonormal columns.  Raises ConvergenceError if column pairs are still
-    coupled after `max_sweeps` sweeps.
+    orthonormal columns.  Raises ConvergenceError if LAPACK does not
+    converge.
     """
     a = _check_finite(a)
     m, n = a.shape
     if m < n:
-        res = svd(a.conj().T, tol=tol, max_sweeps=max_sweeps)
+        res = svd(a.conj().T)
         return SvdResult(res.right, res.singular_values, res.left)
-
-    b = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=True)
-    v = np.eye(n, dtype=b.dtype)
-    scale = np.linalg.norm(b)
-    if scale == 0.0:
-        return SvdResult(np.eye(m, n, dtype=b.dtype), np.zeros(n), np.eye(n, dtype=b.dtype))
-
-    for _ in range(max_sweeps):
-        converged = True
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                bi = b[:, i]
-                bj = b[:, j]
-                gii = np.real(np.vdot(bi, bi))
-                gjj = np.real(np.vdot(bj, bj))
-                gij = np.vdot(bi, bj)
-                # iterate down to machine precision; `tol` is the contract
-                # tolerance, not the stopping threshold
-                thresh = min(tol, 8 * np.finfo(float).eps)
-                if abs(gij) <= thresh * np.sqrt(gii * gjj) or abs(gij) == 0.0:
-                    continue
-                converged = False
-                c, s, phase = _jacobi_rotation(gii, gjj, gij)
-                # Columns (i, j) <- (i, j) @ J with J unitary.
-                col_i = c * bi - s * np.conj(phase) * bj
-                col_j = s * phase * bi + c * bj
-                b[:, i] = col_i
-                b[:, j] = col_j
-                vi = v[:, i].copy()
-                vj = v[:, j].copy()
-                v[:, i] = c * vi - s * np.conj(phase) * vj
-                v[:, j] = s * phase * vi + c * vj
-        if converged:
-            break
-    else:
-        raise ConvergenceError(f"one-sided Jacobi SVD did not converge for a {m}x{n} matrix")
-
-    norms = np.linalg.norm(b, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    sigma = norms[order]
-    v = v[:, order]
-    b = b[:, order]
-
-    u = np.zeros((m, n), dtype=b.dtype)
-    tiny = max(sigma[0], 1.0) * np.finfo(float).eps * m
-    deficient = []
-    for k in range(n):
-        if sigma[k] > tiny:
-            u[:, k] = b[:, k] / sigma[k]
-        else:
-            deficient.append(k)
-    if deficient:
-        u = _complete_columns(u, deficient)
-    return SvdResult(u, sigma, v)
+    try:
+        u, sigma, vh = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge for a {m}x{n} matrix") from exc
+    return SvdResult(u, sigma, vh.conj().T)
 
 
-def _complete_columns(u: np.ndarray, empty: list[int]) -> np.ndarray:
-    """Fill the listed zero columns of u with orthonormal complements."""
-    m = u.shape[0]
-    filled = [k for k in range(u.shape[1]) if k not in empty]
-    basis = [u[:, k] for k in filled]
-    for k in empty:
-        for attempt in range(m):
-            vec = np.zeros(m, dtype=u.dtype)
-            vec[(k + attempt) % m] = 1.0
-            for bvec in basis:
-                vec = vec - bvec * np.vdot(bvec, vec)
-            nrm = np.linalg.norm(vec)
-            if nrm > 0.5:
-                vec = vec / nrm
-                u[:, k] = vec
-                basis.append(vec)
-                break
-    return u
-
-
-def eig_hermitian(a: np.ndarray, tol: float = KERNEL_TOL, max_sweeps: int = MAX_SWEEPS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi.
+def eig_hermitian(a: np.ndarray):
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues sorted decreasing, unitary eigenframe) with
     a @ frame = frame @ diag(eigenvalues).  Raises DimensionMismatchError
     for non-square or materially non-Hermitian input.
     """
-    a = _check_finite(a)
-    n, nc = a.shape
-    if n != nc:
-        raise DimensionMismatchError(f"expected square matrix, got {n}x{nc}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > max(1e-10 * max(scale, 1.0), 1e-10):
-        raise DimensionMismatchError("matrix is not Hermitian within tolerance")
-    w = ((a + a.conj().T) / 2.0).astype(
-        np.complex128 if np.iscomplexobj(a) else np.float64, copy=True
-    )
-    v = np.eye(n, dtype=w.dtype)
-    if scale == 0.0:
-        return np.zeros(n), v
-
-    thresh = min(tol, 8 * np.finfo(float).eps)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                apq = w[i, j]
-                if abs(apq) <= thresh * scale:
-                    continue
-                off = max(off, abs(apq))
-                c, s, phase = _jacobi_rotation(np.real(w[i, i]), np.real(w[j, j]), apq)
-                jmat = np.array(
-                    [[c, s * phase], [-s * np.conj(phase), c]], dtype=w.dtype
-                )
-                w[:, [i, j]] = w[:, [i, j]] @ jmat
-                w[[i, j], :] = jmat.conj().T @ w[[i, j], :]
-                v[:, [i, j]] = v[:, [i, j]] @ jmat
-        if off <= thresh * scale:
-            break
-    else:
-        raise ConvergenceError(f"cyclic Jacobi did not converge for a {n}x{n} matrix")
-
-    lam = np.real(np.diag(w))
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], v[:, order]
+    a = _check_hermitian(a)
+    n = a.shape[0]
+    try:
+        lam, frame = np.linalg.eigh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Hermitian eigensolver did not converge for a {n}x{n} matrix") from exc
+    return lam[::-1], frame[:, ::-1]
 
 
-def cholesky(a: np.ndarray, threshold: float = 0.0):
+def cholesky(a: np.ndarray):
     """Upper-triangular R with A = R* R for Hermitian positive definite A.
 
     Raises NotPositiveDefiniteError (with the pivot index) when a pivot
-    drops to `threshold` or below, relative to the matrix scale.
+    drops to PIVOT_TOL times the largest diagonal entry (at least 1) or
+    below.
     """
-    a = _check_finite(a)
-    n, nc = a.shape
-    if n != nc:
-        raise DimensionMismatchError(f"expected square matrix, got {n}x{nc}")
+    a = _check_hermitian(a)
+    n = a.shape[0]
     scale = max(np.max(np.abs(np.diag(a)).astype(float)), 1.0)
-    if np.linalg.norm(a - a.conj().T) > 1e-10 * max(np.linalg.norm(a), 1.0):
-        raise DimensionMismatchError("matrix is not Hermitian within tolerance")
     r = np.zeros_like(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     for j in range(n):
         pivot = np.real(a[j, j]) - np.real(np.vdot(r[:j, j], r[:j, j]))
-        if pivot <= max(threshold, 1e-14 * scale):
+        if pivot <= PIVOT_TOL * scale:
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite (pivot {j} = {pivot:.3e})", pivot=j
             )
@@ -225,9 +119,9 @@ def cholesky(a: np.ndarray, threshold: float = 0.0):
     return r
 
 
-def inv_sqrt_psd(a: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
+def inv_sqrt_psd(a: np.ndarray) -> np.ndarray:
     """Hermitian inverse square root: result @ a @ result = identity."""
-    lam, frame = eig_hermitian(a, tol=tol)
+    lam, frame = eig_hermitian(a)
     if lam[-1] <= 0.0:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (smallest eigenvalue {lam[-1]:.3e})"
@@ -236,11 +130,11 @@ def inv_sqrt_psd(a: np.ndarray, tol: float = KERNEL_TOL) -> np.ndarray:
     return (b + b.conj().T) / 2.0
 
 
-def qr_orthonormalize(a: np.ndarray, rank_threshold: float = RANK_THRESHOLD) -> np.ndarray:
+def qr_orthonormalize(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis for the column span of a full-column-rank matrix.
 
     Raises RankDeficiencyError when the smallest singular value falls below
-    rank_threshold times the largest.
+    RANK_THRESHOLD times the largest.
     """
     a = _check_finite(a)
     m, n = a.shape
@@ -248,8 +142,8 @@ def qr_orthonormalize(a: np.ndarray, rank_threshold: float = RANK_THRESHOLD) -> 
         raise DimensionMismatchError(f"need at least as many rows as columns, got {m}x{n}")
     q, r = np.linalg.qr(a)
     sigma = svd(r).singular_values
-    if sigma[0] == 0.0 or sigma[-1] <= rank_threshold * sigma[0]:
-        rank = int(np.sum(sigma > rank_threshold * max(sigma[0], 1.0)))
+    if sigma[0] == 0.0 or sigma[-1] <= RANK_THRESHOLD * sigma[0]:
+        rank = int(np.sum(sigma > RANK_THRESHOLD * max(sigma[0], 1.0)))
         raise RankDeficiencyError(
             f"matrix is numerically rank deficient (rank {rank} < {n})", detected_rank=rank
         )

@@ -204,31 +204,10 @@ def hcurve_between(left: Subspace, right: Subspace) -> HCurve:
         else:
             pending.append(j)
     if pending:
-        f = _fill_orthonormal(e, f, pending)
+        filled = [j for j in range(p) if j not in pending]
+        completion = subspaces.orthonormal_completion(np.hstack([e, f[:, filled]]))
+        f[:, pending] = completion[:, : len(pending)]
     return HCurve(e_frame=e, f_frame=f, a=psi)
-
-
-def _fill_orthonormal(e: np.ndarray, f: np.ndarray, pending: list[int]) -> np.ndarray:
-    """Complete zero columns of f orthonormally to all of e and f."""
-    n = e.shape[0]
-    basis = [e[:, j] for j in range(e.shape[1])]
-    basis += [f[:, j] for j in range(f.shape[1]) if j not in pending]
-    f = f.copy()
-    for j in pending:
-        for attempt in range(n):
-            vec = np.zeros(n, dtype=e.dtype)
-            vec[attempt] = 1.0
-            for b in basis:
-                vec = vec - b * np.vdot(b, vec)
-            nrm = np.linalg.norm(vec)
-            if nrm > 0.3:
-                vec = vec / nrm
-                f[:, j] = vec
-                basis.append(vec)
-                break
-        else:
-            raise RuntimeError("failed to complete the orthonormal frame")
-    return f
 
 
 def finsler_length(path, norm: NormSpec) -> float:

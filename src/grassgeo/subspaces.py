@@ -12,7 +12,7 @@ curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.frame @ self.frame.conj().T
 
-    def contains_span_of(self, other: "Subspace", tol: float = 1e-8) -> bool:
-        return np.linalg.norm(self.projector() - other.projector()) <= tol
-
 
 @dataclass(frozen=True)
 class PrincipalPair:
@@ -124,12 +121,19 @@ class TangentVector:
         return self.complement @ self.matrix
 
 
+def orthonormal_completion(frame: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the orthogonal complement of `frame`.
+
+    `frame` is n x k with orthonormal columns; the result is n x (n - k),
+    taken from a complete QR factorization, so it is deterministic.
+    """
+    q, _ = np.linalg.qr(frame, mode="complete")
+    return q[:, frame.shape[1]:]
+
+
 def complement_frame(subspace: Subspace) -> np.ndarray:
     """Orthonormal frame of the orthogonal complement of a subspace."""
-    n, p = subspace.frame.shape
-    proj = np.eye(n, dtype=subspace.frame.dtype) - subspace.projector()
-    lam, vecs = kernel.eig_hermitian(proj)
-    return vecs[:, : n - p]
+    return orthonormal_completion(subspace.frame)
 
 
 def _check_pair(left: Subspace, right: Subspace):
@@ -147,11 +151,24 @@ def _angles_from_cosines(cosines: np.ndarray) -> np.ndarray:
 
 
 def jordan_angles(left: Subspace, right: Subspace) -> np.ndarray:
-    """Jordan (principal) angles, sorted increasing, each in [0, pi/2]."""
+    """Jordan (principal) angles, sorted increasing, each in [0, pi/2].
+
+    Angles whose squared cosine exceeds 1/2 are taken as the arcsine of the
+    singular values of right - left (left* right), which keeps relative
+    accuracy for small angles where arccos loses it (Bjorck & Golub 1973;
+    Knyazev & Argentati 2002).
+    """
     _check_pair(left, right)
     cross = left.frame.conj().T @ right.frame
     sigma = kernel.svd(cross).singular_values
-    return _angles_from_cosines(sigma)
+    angles = _angles_from_cosines(sigma)
+    small = sigma * sigma > 0.5
+    if np.any(small):
+        residual = right.frame - left.frame @ cross
+        # sines sorted increasing pair with cosines sorted decreasing
+        sines = np.linalg.svd(residual, compute_uv=False)[::-1]
+        angles[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
+    return angles
 
 
 def angles_from_gram(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -121,7 +121,7 @@ def majorization_slack(x: np.ndarray, psi: np.ndarray, signed: bool) -> float:
     margins = np.cumsum(ps) - np.cumsum(xs)
     partial = float(np.min(margins[:-1])) if len(x) > 1 else np.inf
     total = -abs(margins[-1])
-    return min(partial, total)
+    return float(min(partial, total))
 
 
 def orbit_membership(

@@ -151,6 +151,12 @@ class TestSubcommands:
         code, doc = run(capsys, "lidskii", "--x", x, "--z", z)
         assert code == 0
         assert doc["result"]["inside"] is True
+        # non-diagonal input: the tightest margin is the rounded trace, not a partial sum
+        x = write(tmp_path, "x2.txt", "2 1\n1 0\n")
+        z = write(tmp_path, "z2.txt", "0.3 0.2\n0.2 -0.1\n")
+        code, doc = run(capsys, "lidskii", "--x", x, "--z", z)
+        assert code == 0
+        assert doc["result"]["inside"] is True
 
     def test_ball_angles_with_distance(self, tmp_path, capsys):
         t = write(tmp_path, "t.txt", "0\n")

@@ -118,6 +118,17 @@ class TestHCurveBetween:
             assert np.linalg.norm(at0.projector() - l.projector()) < 1e-10
             assert np.linalg.norm(at1.projector() - m.projector()) < 1e-10
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_equal_endpoints_complete_the_frame(self, rng, cplx):
+        # every angle is zero, so each f column comes from the completion
+        l = random_subspace(3, 4, "complex" if cplx else "real", rng)
+        curve = metrics.hcurve_between(l, l)
+        combined = np.hstack([curve.e_frame, curve.f_frame])
+        assert np.linalg.norm(combined.conj().T @ combined - np.eye(6)) < 1e-12
+        mid = metrics.hcurve_eval(curve, 0.5)
+        # the rates are arccosines of cosines near 1, so they carry sqrt(eps)
+        assert np.linalg.norm(mid.projector() - l.projector()) < 1e-7
+
     def test_rates_are_jordan_angles(self, rng):
         l = random_subspace(2, 4, "real", rng)
         m = random_subspace(2, 4, "real", rng)
