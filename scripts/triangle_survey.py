@@ -2,17 +2,16 @@
 """Survey triangle-certification slacks on random Grassmannian triples.
 
 Draws random triples of p-dimensional subspaces, runs the orbit-polytope
-triangle certification on each, and prints a small histogram of the best
-slack together with the distribution of witnessing group elements.  A
-tight concentration of slack near zero means many triples sit close to
-the boundary of the inclusion, which is where roundoff would first show.
+triangle certification on each, and prints a small histogram of the
+slack.  A tight concentration of slack near zero means many triples sit
+close to the boundary of the inclusion, which is where roundoff would
+first show.
 
 Example:
     python3 scripts/triangle_survey.py --p 3 --q 4 --trials 2000 --seed 1
 """
 
 import argparse
-import collections
 import sys
 
 import numpy as np
@@ -31,7 +30,6 @@ def main() -> int:
     args = ap.parse_args()
 
     slacks = np.empty(args.trials)
-    witnesses = collections.Counter()
     violations = 0
     for trial in range(args.trials):
         rng = trial_rng(args.seed, trial)
@@ -40,7 +38,6 @@ def main() -> int:
         n = random_subspace(args.p, args.q, args.field, rng)
         rep = metrics.triangle_check(l, m, n)
         slacks[trial] = rep.best_slack
-        witnesses[(rep.witness.perm, rep.witness.signs)] += 1
         if not rep.inside:
             violations += 1
             print(f"trial {trial}: OUTSIDE, slack {rep.best_slack:+.3e}")
@@ -57,10 +54,6 @@ def main() -> int:
     for c, a, b in zip(counts, edges, edges[1:]):
         bar = "#" * int(round(40 * c / peak))
         print(f"  [{a:+.3f}, {b:+.3f})  {c:5d} {bar}")
-
-    print("most common witnesses:")
-    for (perm, signs), cnt in witnesses.most_common(5):
-        print(f"  perm {perm} signs {signs}: {cnt}")
     return 1 if violations else 0
 
 

@@ -113,19 +113,14 @@ def _certificate_out(cert):
     return [{"weight": wt, "element": _perm_out(w)} for wt, w in cert]
 
 
-def _matrix_out(m: np.ndarray):
-    if np.iscomplexobj(m):
-        return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-    return np.asarray(m).tolist()
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grassgeo",
         description="Jordan angles, invariant distances and triangle certification",
     )
-    parser.add_argument("--tol", type=float, default=weyl.BOUNDARY_TOL,
-                        help="boundary tolerance for membership verdicts (default 1e-9)")
+    parser.add_argument("--tol", type=float,
+                        help="boundary tolerance for membership verdicts (default 1e-9), "
+                             "or check tolerance for fuzz (default 1e-8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kwargs):
@@ -215,7 +210,7 @@ def _run(args) -> tuple[int, dict, dict]:
         if args.samples:
             params += list(np.linspace(0.0, 1.0, args.samples))
         points = [
-            {"s": s, "frame": _matrix_out(metrics.hcurve_eval(curve, s).frame)}
+            {"s": s, "frame": harness._dump_matrix(metrics.hcurve_eval(curve, s).frame)}
             for s in params
         ]
         result = {"invariants": _angles_out(curve.a), "points": points}
@@ -293,13 +288,12 @@ def _run(args) -> tuple[int, dict, dict]:
             n=args.n,
             trials=args.trials,
             seed=args.seed,
-            tolerance=args.tol if args.tol != weyl.BOUNDARY_TOL else 1e-8,
+            tolerance=args.tol,
             norms=tuple(args.norms.split(",")),
         )
         report = harness.run_trials(config)
         print(f"fuzz wall time: {report.wall_time:.3f}s", file=sys.stderr)
-        tolerances["check"] = config.tolerance
-        return (0 if report.all_passed else 1), report.to_dict(), tolerances
+        return (0 if report.all_passed else 1), report.to_dict(), {"check": config.tolerance}
 
     raise AssertionError(f"unhandled command {cmd!r}")
 
@@ -311,6 +305,9 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if args.tol is None:
+        # fuzz checks default to the harness's tolerance, verdicts to the boundary one
+        args.tol = harness.TrialConfig.tolerance if args.command == "fuzz" else weyl.BOUNDARY_TOL
     inputs = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
     try:
         code, result, tolerances = _run(args)

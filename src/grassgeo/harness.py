@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernel, metrics, noncompact, subspaces, weyl
-from .errors import CapabilityError, DimensionMismatchError
+from . import kernel, metrics, noncompact, subspaces
+from .errors import DimensionMismatchError
 from .metrics import NormSpec
 from .noncompact import BallPoint, PosDefPoint
 from .subspaces import Subspace
@@ -107,10 +107,6 @@ class TrialConfig:
             raise ValueError("trials must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.space.startswith("grassmann") and self.p > weyl.ENUMERATION_CAP:
-            raise CapabilityError(
-                f"orbit search capped at p = {weyl.ENUMERATION_CAP}, got p = {self.p}"
-            )
 
     def norm_specs(self):
         return [NormSpec.builtin(label) for label in self.norms]

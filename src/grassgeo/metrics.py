@@ -5,8 +5,9 @@ the Jordan-angle vector into a distance between subspaces.  The geodesics
 of every such metric are the curves that rotate a fixed orthonormal
 2p-frame plane-by-plane at constant rates ("H-curves"); along them angles
 add exactly between sufficiently near points.  The triangle certification
-checks that the angle vector of (L, N) lies, up to the group action, in
-the orbit polytope of the (M, N) angles shifted by the (L, M) angles.
+checks that the angle vector of (L, N) lies in the orbit polytope of the
+(M, N) angles shifted by the (L, M) angles: one weak-majorization test at
+any p, with no search over the group (see `TriangleReport`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, subspaces, weyl
-from .errors import CapabilityError, DimensionMismatchError, NoUniqueGeodesicError
+from .errors import DimensionMismatchError, NoUniqueGeodesicError
 from .subspaces import Subspace, jordan_angles
 
 TOP_ANGLE_MARGIN = 1e-9
@@ -173,7 +174,8 @@ def hcurve_between(left: Subspace, right: Subspace) -> HCurve:
     `left` and at 1 gives `right`.
     """
     pair = subspaces.principal_vectors(left, right)
-    psi = np.arccos(np.clip(pair.cosines, 0.0, 1.0))
+    cross = left.frame.conj().T @ right.frame
+    psi = subspaces._sine_cosine_angles(left, right, cross, pair.cosines)
     if psi[-1] >= np.pi / 2 - TOP_ANGLE_MARGIN:
         raise NoUniqueGeodesicError(
             f"top angle {psi[-1]:.6f} too close to pi/2 for a unique joining curve"
@@ -231,9 +233,12 @@ class TriangleReport:
     """Verdict of the orbit-polytope triangle certification.
 
     phi, psi, theta are the angle vectors of (L, M), (M, N), (L, N).
-    `inside` holds when some group image of theta lies in the orbit
-    polytope of psi shifted by phi; `best_slack` is the best membership
-    margin over the group, `witness` the maximizing element.
+    `inside` holds when theta - phi lies in the orbit polytope of psi, up
+    to the boundary tolerance; `best_slack` is its membership margin.
+    `witness` is always the identity: theta and phi are sorted and
+    nonnegative, so sign flips only enlarge |w(theta) - phi| and
+    x_sorted - y_sorted is majorized by x - y (Marshall, Olkin & Arnold,
+    Inequalities, ch. 6), making the identity best over the whole group.
     """
 
     phi: np.ndarray
@@ -245,21 +250,12 @@ class TriangleReport:
     certificate: list | None = None
 
 
-def _orbit_triangle_search(phi, psi, theta, signed: bool):
-    """Best membership slack of w(theta) - phi in the orbit hull of psi."""
-    elems, _, _ = weyl._orbit_index(len(theta), signed)
-    orbit = weyl.orbit_matrix(theta, signed)  # G x p
-    queries = np.abs(orbit - phi) if signed else orbit - phi
-    qs = -np.sort(-queries, axis=1)
-    ps = np.sort(np.abs(psi) if signed else psi)[::-1]
-    margins = np.cumsum(ps) - np.cumsum(qs, axis=1)
-    if signed:
-        slacks = margins.min(axis=1)
-    else:
-        partial = margins[:, :-1].min(axis=1) if margins.shape[1] > 1 else np.full(len(orbit), np.inf)
-        slacks = np.minimum(partial, -np.abs(margins[:, -1]))
-    best = int(np.argmax(slacks))
-    return float(slacks[best]), elems[best]
+def _triangle_report(phi, psi, theta, group, want_certificate=False,
+                     boundary_tol=weyl.BOUNDARY_TOL) -> TriangleReport:
+    """Report on theta - phi in the `group` orbit hull of psi."""
+    member = weyl.orbit_membership(theta - phi, psi, group, want_certificate, boundary_tol)
+    witness = weyl.SignedPermutation.identity(len(theta))
+    return TriangleReport(phi, psi, theta, member.inside, member.slack, witness, member.certificate)
 
 
 def triangle_check(
@@ -269,29 +265,11 @@ def triangle_check(
     want_certificate: bool = False,
     boundary_tol: float = weyl.BOUNDARY_TOL,
 ) -> TriangleReport:
-    """Certify the triangle relation for the angles of three subspaces."""
+    """Certify the triangle relation for the angles of three subspaces.
+
+    Verdicts work at any p; certificates enumerate the group (p <= 5).
+    """
     phi = jordan_angles(l, m)
     psi = jordan_angles(m, n)
     theta = jordan_angles(l, n)
-    p = len(theta)
-    if p > weyl.ENUMERATION_CAP:
-        raise CapabilityError(
-            f"orbit search capped at p = {weyl.ENUMERATION_CAP}, got p = {p}"
-        )
-    best_slack, witness = _orbit_triangle_search(phi, psi, theta, signed=True)
-    inside = best_slack >= -boundary_tol
-    certificate = None
-    if want_certificate and inside:
-        member = weyl.orbit_membership(
-            witness.apply(theta) - phi, psi, "signed", want_certificate=True
-        )
-        certificate = member.certificate
-    return TriangleReport(
-        phi=phi,
-        psi=psi,
-        theta=theta,
-        inside=inside,
-        best_slack=best_slack,
-        witness=witness,
-        certificate=certificate,
-    )
+    return _triangle_report(phi, psi, theta, "signed", want_certificate, boundary_tol)

@@ -23,9 +23,7 @@ from .errors import (
     NumericalConsistencyError,
 )
 
-HERMITIAN_TOL = 1e-10
 BALL_NORM_MARGIN = 1e-9
-ARCOSH_CLAMP = 1e-9
 ARCOSH_ERROR = 1e-6
 # arcosh(1 + eps) ~ sqrt(2 eps): roundoff of order 1e-14 in a singular value
 # near 1 would read as a spurious angle of order 1e-7, so values this close
@@ -43,7 +41,7 @@ class PosDefPoint:
         a = np.asarray(self.matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")
-        if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1.0):
+        if np.linalg.norm(a - a.conj().T) > kernel.HERMITIAN_TOL * max(np.linalg.norm(a), 1.0):
             raise ValueError("matrix is not Hermitian within tolerance")
         lam, _ = kernel.eig_hermitian(a)
         if lam[-1] <= 0:
@@ -67,7 +65,7 @@ class BallPoint:
         t = np.asarray(self.matrix, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {t.shape}")
-        if np.linalg.norm(t - t.T) > HERMITIAN_TOL * max(np.linalg.norm(t), 1.0):
+        if np.linalg.norm(t - t.T) > kernel.HERMITIAN_TOL * max(np.linalg.norm(t), 1.0):
             raise ValueError("matrix is not symmetric (T = T^t) within tolerance")
         top = kernel.svd(t).singular_values[0]
         if top > 1.0 - BALL_NORM_MARGIN:
@@ -114,15 +112,7 @@ def posdef_triangle_check(
     phi = posdef_angles(left, mid)
     psi = posdef_angles(mid, right)
     theta = posdef_angles(left, right)
-    member = weyl.orbit_membership(theta - phi, psi, group="permutation")
-    return metrics.TriangleReport(
-        phi=phi,
-        psi=psi,
-        theta=theta,
-        inside=member.inside,
-        best_slack=member.slack,
-        witness=weyl.SignedPermutation.identity(len(theta)),
-    )
+    return metrics._triangle_report(phi, psi, theta, "permutation")
 
 
 def lidskii_check(x: np.ndarray, z: np.ndarray) -> weyl.MembershipResult:

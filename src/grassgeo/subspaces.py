@@ -150,6 +150,18 @@ def _angles_from_cosines(cosines: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cosines, 0.0, 1.0))
 
 
+def _sine_cosine_angles(left: Subspace, right: Subspace, cross, cosines) -> np.ndarray:
+    """Angles from the cross-Gram left* right and its singular values (decreasing)."""
+    angles = _angles_from_cosines(cosines)
+    small = cosines * cosines > 0.5
+    if np.any(small):
+        residual = right.frame - left.frame @ cross
+        # sines sorted increasing pair with cosines sorted decreasing
+        sines = np.linalg.svd(residual, compute_uv=False)[::-1]
+        angles[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
+    return angles
+
+
 def jordan_angles(left: Subspace, right: Subspace) -> np.ndarray:
     """Jordan (principal) angles, sorted increasing, each in [0, pi/2].
 
@@ -160,15 +172,7 @@ def jordan_angles(left: Subspace, right: Subspace) -> np.ndarray:
     """
     _check_pair(left, right)
     cross = left.frame.conj().T @ right.frame
-    sigma = kernel.svd(cross).singular_values
-    angles = _angles_from_cosines(sigma)
-    small = sigma * sigma > 0.5
-    if np.any(small):
-        residual = right.frame - left.frame @ cross
-        # sines sorted increasing pair with cosines sorted decreasing
-        sines = np.linalg.svd(residual, compute_uv=False)[::-1]
-        angles[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
-    return angles
+    return _sine_cosine_angles(left, right, cross, kernel.svd(cross).singular_values)
 
 
 def angles_from_gram(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ Membership criteria:
     the k largest psi entries, for every k (weak absolute majorization);
   * permutation group: classical majorization (partial-sum inequalities
     plus total-sum equality).
-The criteria are cross-validated against a brute-force vertex LP oracle
-(`vertex_lp_membership`) in the test suite.
+Both hold at any p; only certificates, the quasistochastic decomposition
+and the vertex LP oracle (`vertex_lp_membership`, which cross-validates
+the criteria in the test suite) enumerate the group, capped at p <= 5.
 """
 
 from __future__ import annotations
@@ -134,7 +135,9 @@ def orbit_membership(
     """Is x in the convex hull of the group orbit of psi?
 
     `group` is "signed" (hyperoctahedral) or "permutation".  For the signed
-    group psi must be nonnegative.  Certificates require p <= 5.
+    group psi must be nonnegative.  Certificates require p <= 5; a signed
+    certificate for x inside only by `boundary_tol` rebuilds x shrunk onto
+    the hull.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -161,6 +164,16 @@ def orbit_membership(
 def _certificate(x: np.ndarray, psi: np.ndarray, signed: bool):
     elems, _, _ = _orbit_index(len(x), signed)
     verts = orbit_matrix(psi, signed)  # G x p
+    if signed:
+        # inside by tolerance may be outside by roundoff: shrink onto the hull
+        s_x = np.cumsum(np.sort(np.abs(x))[::-1])
+        s_psi = np.cumsum(np.sort(psi)[::-1])
+        pos = s_x > 0
+        x = x * float(np.min(s_psi[pos] / s_x[pos], initial=1.0))
+    # the LP's feasibility tolerance is absolute: solve at unit scale
+    scale = float(np.max(np.abs(psi), initial=0.0))
+    if scale > 0:
+        verts, x = verts / scale, x / scale
     res = _convex_combination(verts, x)
     if res is None:
         return None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from grassgeo import subspaces as sub
+from grassgeo.harness import random_rotation
 
 
 @pytest.fixture
@@ -25,3 +26,22 @@ def richardson_rate(l, m, h, step):
         return (up - dn) / (2 * eps)
 
     return (4 * central(step / 2) - central(step)) / 3
+
+
+def hcurve_triple(rng, p, q, top_angle, field="real"):
+    """Three subspaces on one H-curve: the triangle relation holds with equality.
+
+    The curve s -> span(e cos(a s) + f sin(a s)) is a common geodesic of all
+    invariant metrics; its points at s = 0 < t < 1 have angle vectors t a,
+    (1 - t) a and a.  Each frame is mixed by a random rotation, so the
+    principal directions are not the frame columns.
+    """
+    frame = random_rotation(p + q, field, rng)
+    e, f = frame[:, :p], frame[:, p:2 * p]
+    a = np.sort(rng.uniform(0.0, 1.0, p))
+    a = a * (top_angle / a[-1])
+    t = rng.uniform(0.2, 0.8)
+    return [
+        sub.Subspace((e * np.cos(a * s) + f * np.sin(a * s)) @ random_rotation(p, field, rng))
+        for s in (0.0, t, 1.0)
+    ]

@@ -137,6 +137,7 @@ class TestSubcommands:
         code, doc = run(capsys, "fan-ky", "--matrix", mat)
         assert code == 0
         assert doc["result"]["inside"] is True
+        assert doc["tolerances"]["boundary"] == 1e-9
 
     def test_posdef_angles(self, tmp_path, capsys):
         left = write(tmp_path, "l.txt", "4 0\n0 1\n")
@@ -173,6 +174,15 @@ class TestSubcommands:
         assert code1 == code2 == 0
         assert doc1["result"] == doc2["result"]
         assert doc1["result"]["all_passed"] is True
+
+    @pytest.mark.parametrize("tol, expected", [(None, 1e-8), ("1e-9", 1e-9), ("1e-7", 1e-7)])
+    def test_fuzz_check_tolerance(self, capsys, tol, expected):
+        # a given --tol reaches the fuzz checks, even one equal to the verdict default
+        argv = ["fuzz", "--space", "hermitian-lidskii", "--n", "3", "--trials", "2", "--seed", "1"]
+        code, doc = run(capsys, *(["--tol", tol] if tol else []), *argv)
+        assert code == 0
+        assert doc["result"]["config"]["tolerance"] == expected
+        assert doc["tolerances"]["check"] == expected
 
 
 class TestExitCodes:

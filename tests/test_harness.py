@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from grassgeo import harness
-from grassgeo.errors import CapabilityError
 from grassgeo.harness import FuzzReport, TrialConfig
 
 
@@ -47,9 +46,12 @@ class TestTrialConfig:
         with pytest.raises(ValueError):
             TrialConfig(space="torus")
 
-    def test_rejects_large_p_for_grassmann(self):
-        with pytest.raises(CapabilityError):
-            TrialConfig(space="grassmann-real", p=6, q=6)
+    def test_runs_large_p_for_grassmann(self):
+        # triangle verdicts need no group enumeration, so p is not capped
+        cfg = TrialConfig(space="grassmann-real", p=8, q=8, trials=4)
+        report = harness.run_trials(cfg)
+        assert report.all_passed
+        assert all(s.passed == cfg.trials for s in report.checks.values())
 
     def test_norm_specs_parse(self):
         cfg = TrialConfig(space="ball", norms=("l1", "kyfan3"))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from grassgeo import metrics, subspaces as sub
+from grassgeo import metrics, subspaces as sub, weyl
 from grassgeo.errors import CapabilityError, NoUniqueGeodesicError
 from grassgeo.harness import random_rotation, random_subspace
 from grassgeo.metrics import NormSpec
+
+from conftest import hcurve_triple
 
 
 def block_pair(angles, q_extra=0):
@@ -126,8 +128,16 @@ class TestHCurveBetween:
         combined = np.hstack([curve.e_frame, curve.f_frame])
         assert np.linalg.norm(combined.conj().T @ combined - np.eye(6)) < 1e-12
         mid = metrics.hcurve_eval(curve, 0.5)
-        # the rates are arccosines of cosines near 1, so they carry sqrt(eps)
-        assert np.linalg.norm(mid.projector() - l.projector()) < 1e-7
+        assert np.linalg.norm(mid.projector() - l.projector()) < 1e-12
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_equal_endpoints_give_zero_rates(self, rng, cplx):
+        # the rates come from the sine route, not from arccos of cosines near 1
+        field = "complex" if cplx else "real"
+        for _ in range(50):
+            l = random_subspace(3, 4, field, rng)
+            m = sub.Subspace(l.frame @ random_rotation(3, field, rng))
+            assert np.max(metrics.hcurve_between(l, m).a) <= 1e-14
 
     def test_rates_are_jordan_angles(self, rng):
         l = random_subspace(2, 4, "real", rng)
@@ -164,8 +174,8 @@ class TestHCurveBetween:
         m = sub.Subspace.from_spanning(l.frame + 1e-9 * rng.standard_normal(l.frame.shape))
         curve = metrics.hcurve_between(l, m)
         at1 = metrics.hcurve_eval(curve, 1.0)
-        # the rotation rates themselves carry sqrt(eps) error here, so the
-        # endpoint is only reproduced to that accuracy
+        # the cosines agree to rounding here, so the principal vectors paired
+        # by the cross-Gram SVD carry sqrt(eps) error, and so does the endpoint
         assert np.linalg.norm(at1.projector() - m.projector()) < 1e-7
 
 
@@ -236,8 +246,58 @@ class TestTriangleCheck:
             assert np.max(np.abs(rec - target)) < 1e-7
 
     def test_capability_cap(self, rng):
-        l = random_subspace(6, 6, "real", rng)
-        m = random_subspace(6, 6, "real", rng)
-        n = random_subspace(6, 6, "real", rng)
+        # verdicts work at any p; only certificates enumerate the group
+        for p in (6, 16):
+            l, m, n = (random_subspace(p, p, "real", rng) for _ in range(3))
+            assert metrics.triangle_check(l, m, n).inside
+        l, m, n = (random_subspace(6, 6, "real", rng) for _ in range(3))
         with pytest.raises(CapabilityError):
-            metrics.triangle_check(l, m, n)
+            metrics.triangle_check(l, m, n, want_certificate=True)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_identity_pairing_is_optimal(self, rng, field):
+        # the best slack over the whole signed orbit of theta, by brute force
+        def orbit_best(rep):
+            return max(
+                weyl.majorization_slack(row - rep.phi, rep.psi, True)
+                for row in weyl.orbit_matrix(rep.theta)
+            )
+
+        for p in range(1, 6):
+            for _ in range(3):
+                l = random_subspace(p, p + 1, field, rng)
+                n = random_subspace(p, p + 1, field, rng)
+                triples = (
+                    [l, random_subspace(p, p + 1, field, rng), n],
+                    hcurve_triple(rng, p, p + 1, 10.0 ** -rng.uniform(1, 8), field),
+                    [l, sub.Subspace(l.frame @ random_rotation(p, field, rng)), n],
+                )
+                for triple in triples:
+                    rep = metrics.triangle_check(*triple)
+                    best = orbit_best(rep)
+                    assert abs(rep.best_slack - best) <= 1e-14
+                    assert rep.inside == (best >= -weyl.BOUNDARY_TOL)
+                    assert rep.witness == weyl.SignedPermutation.identity(p)
+
+    @pytest.mark.parametrize("p", [8, 16])
+    def test_large_p_verdicts(self, rng, p):
+        for _ in range(5):
+            rep = metrics.triangle_check(*(random_subspace(p, p, "real", rng) for _ in range(3)))
+            assert rep.inside
+            rep = metrics.triangle_check(*hcurve_triple(rng, p, p, 10.0 ** -rng.uniform(1, 8)))
+            assert rep.inside
+            assert abs(rep.best_slack) <= 1e-12
+
+    @pytest.mark.parametrize("p", [3, 4, 5])
+    def test_boundary_certificates(self, rng, p):
+        # equality triples sit on the hull boundary, tiny angles make the LP
+        # badly scaled; every one must still be certified
+        for decade in range(1, 8):
+            for field in ("real", "complex"):
+                top = 10.0 ** -(decade + rng.uniform(0, 1))
+                rep = metrics.triangle_check(*hcurve_triple(rng, p, p, top, field),
+                                             want_certificate=True)
+                assert rep.inside
+                assert rep.certificate is not None
+                rec = weyl.reconstruct_certificate(rep.certificate, rep.psi)
+                assert np.max(np.abs(rec - (rep.theta - rep.phi))) <= 1e-7
