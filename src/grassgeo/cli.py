@@ -252,7 +252,7 @@ def _run(args) -> tuple[int, dict, dict]:
 
     if cmd == "fan-ky":
         a = _load_matrix(args.matrix)
-        res = weyl.fan_ky_diagonal_check(np.real(a))
+        res = weyl.fan_ky_diagonal_check(np.real(a), boundary_tol=args.tol)
         result = {"inside": res.inside, "slack": res.slack}
         return (0 if res.inside else 1), result, tolerances
 
@@ -265,7 +265,7 @@ def _run(args) -> tuple[int, dict, dict]:
     if cmd == "lidskii":
         x = _load_matrix(args.x)
         z = _load_matrix(args.z)
-        res = noncompact.lidskii_check(x, z)
+        res = noncompact.lidskii_check(x, z, boundary_tol=args.tol)
         result = {"inside": res.inside, "slack": res.slack}
         return (0 if res.inside else 1), result, tolerances
 

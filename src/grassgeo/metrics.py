@@ -174,42 +174,11 @@ def hcurve_between(left: Subspace, right: Subspace) -> HCurve:
     `left` and at 1 gives `right`.
     """
     pair = subspaces.principal_vectors(left, right)
-    cross = left.frame.conj().T @ right.frame
-    psi = subspaces._sine_cosine_angles(left, right, cross, pair.cosines)
-    if psi[-1] >= np.pi / 2 - TOP_ANGLE_MARGIN:
+    if pair.angles[-1] >= np.pi / 2 - TOP_ANGLE_MARGIN:
         raise NoUniqueGeodesicError(
-            f"top angle {psi[-1]:.6f} too close to pi/2 for a unique joining curve"
+            f"top angle {pair.angles[-1]:.6f} too close to pi/2 for a unique joining curve"
         )
-    p = left.dim
-    e = pair.e_basis
-    f = np.zeros_like(e)
-    pending = []
-    for j in range(p):
-        # unit vector in span(e_j, f'_j) orthogonal to e_j; built by
-        # projection removal against everything so far, which stays
-        # orthonormal to machine precision even for tiny angles (where the
-        # direction is ill-determined but its effect on the curve is O(a_j))
-        g = pair.f_basis[:, j].copy()
-        # two projection passes: after normalizing a very short residual the
-        # leftover overlap of a single pass can reach sqrt(eps)
-        for _ in range(2):
-            for col in range(p):
-                g = g - e[:, col] * np.vdot(e[:, col], g)
-            for col in range(j):
-                g = g - f[:, col] * np.vdot(f[:, col], g)
-            nrm = np.linalg.norm(g)
-            if nrm <= 1e-12:
-                break
-            g = g / nrm
-        if nrm > 1e-12:
-            f[:, j] = g
-        else:
-            pending.append(j)
-    if pending:
-        filled = [j for j in range(p) if j not in pending]
-        completion = subspaces.orthonormal_completion(np.hstack([e, f[:, filled]]))
-        f[:, pending] = completion[:, : len(pending)]
-    return HCurve(e_frame=e, f_frame=f, a=psi)
+    return HCurve(e_frame=pair.e_basis, f_frame=pair.g_basis, a=pair.angles)
 
 
 def finsler_length(path, norm: NormSpec) -> float:

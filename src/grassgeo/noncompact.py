@@ -3,8 +3,8 @@
 Three families at finite dimension: hyperbolic angles between positive
 definite matrices (log generalized eigenvalues) with their permutation-
 orbit triangle inclusion, the classical eigenvalue-shift membership for
-Hermitian matrices, and the symmetric operator ball with hyperbolic angles
-arcosh of the singular values of the cross-ratio matrix.
+Hermitian matrices, and the symmetric operator ball, whose angles are
+computed as arsinh of a difference form in T - S (see `ball_angles`).
 
 Type-A spaces use the plain symmetric group (angles are signed, so no
 absolute values enter the majorization).
@@ -17,18 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, metrics, weyl
-from .errors import (
-    DimensionMismatchError,
-    NotPositiveDefiniteError,
-    NumericalConsistencyError,
-)
+from .errors import DimensionMismatchError, NotPositiveDefiniteError
 
 BALL_NORM_MARGIN = 1e-9
-ARCOSH_ERROR = 1e-6
-# arcosh(1 + eps) ~ sqrt(2 eps): roundoff of order 1e-14 in a singular value
-# near 1 would read as a spurious angle of order 1e-7, so values this close
-# to 1 are treated as exactly 1
-ARCOSH_DEAD_BAND = 1e-13
 
 
 @dataclass(frozen=True)
@@ -115,11 +106,13 @@ def posdef_triangle_check(
     return metrics._triangle_report(phi, psi, theta, "permutation")
 
 
-def lidskii_check(x: np.ndarray, z: np.ndarray) -> weyl.MembershipResult:
+def lidskii_check(
+    x: np.ndarray, z: np.ndarray, boundary_tol: float = weyl.BOUNDARY_TOL
+) -> weyl.MembershipResult:
     """Eigenvalue-shift membership for Hermitian matrices.
 
     The sorted spectrum of x + z minus the sorted spectrum of x lies in
-    the permutation-orbit hull of the spectrum of z.
+    the permutation-orbit hull of the spectrum of z, up to `boundary_tol`.
     """
     x = np.asarray(x)
     z = np.asarray(z)
@@ -128,7 +121,7 @@ def lidskii_check(x: np.ndarray, z: np.ndarray) -> weyl.MembershipResult:
     lam_x, _ = kernel.eig_hermitian(x)
     lam_xz, _ = kernel.eig_hermitian(x + z)
     lam_z, _ = kernel.eig_hermitian(z)
-    return weyl.orbit_membership(lam_xz - lam_x, lam_z, group="permutation")
+    return weyl.orbit_membership(lam_xz - lam_x, lam_z, "permutation", boundary_tol=boundary_tol)
 
 
 def cross_ratio_matrix(t: BallPoint, s: BallPoint) -> np.ndarray:
@@ -145,18 +138,18 @@ def cross_ratio_matrix(t: BallPoint, s: BallPoint) -> np.ndarray:
 def ball_angles(t: BallPoint, s: BallPoint) -> np.ndarray:
     """Hyperbolic angles on the symmetric operator ball, sorted increasing.
 
-    arcosh of the singular values of the cross-ratio matrix; the theory
-    guarantees those are >= 1, so values within a tiny band below 1 are
-    clamped and larger deficits raise NumericalConsistencyError.
+    They are the arcosh of the singular values of the cross-ratio matrix C.
+    By Hua's identity C C* = 1 + D D* with
+    D = (1 - T T*)^(-1/2) (T - S) (1 - S* S)^(-1/2), so they are the arsinh
+    of the singular values of D, accurate for nearby points and 0 at T = S.
     """
-    sigma = kernel.svd(cross_ratio_matrix(t, s)).singular_values
-    if sigma[-1] < 1.0 - ARCOSH_ERROR:
-        raise NumericalConsistencyError(
-            f"singular value {sigma[-1]:.12f} below 1 beyond roundoff; "
-            "an upstream invariant is broken"
-        )
-    sigma = np.where(sigma < 1.0 + ARCOSH_DEAD_BAND, 1.0, sigma)
-    return np.arccosh(sigma)[::-1].copy()
+    _check_same_size(t, s)
+    eye = np.eye(t.size)
+    tm, sm = t.matrix, s.matrix
+    left = kernel.inv_sqrt_psd(eye - tm @ tm.conj().T)
+    right = kernel.inv_sqrt_psd(eye - sm.conj().T @ sm)
+    sigma = kernel.svd(left @ (tm - sm) @ right).singular_values
+    return np.arcsinh(sigma)[::-1].copy()
 
 
 def ball_distance(t: BallPoint, s: BallPoint, norm: metrics.NormSpec) -> float:

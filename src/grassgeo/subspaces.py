@@ -1,13 +1,12 @@
 """Subspaces of R^n or C^n and their Jordan angles.
 
 A p-dimensional subspace is stored as an orthonormal frame (an n x p matrix
-with orthonormal columns).  Angles between two p-dimensional subspaces are
-the arccosines of the singular values of the cross-Gram matrix of any two
-orthonormal frames; this module computes them by three routes (cross-Gram
-SVD, generalized Gram eigenproblem for nonorthogonal bases, projector
-compression), exposes principal vector pairs, tangent vectors with their
-singular-value invariants, and the first-order variation of angles along a
-curve.
+with orthonormal columns).  The angles between two such subspaces L and M
+are read from the sines (singular values of M - L L* M) where cos^2 > 1/2
+and from the cosines (singular values of L* M) elsewhere, so small angles
+keep relative accuracy; principal vectors come from the same split.  The
+Gram and projector routes are independent checks.  The module also has
+tangent vectors with their invariants and the first-order angle rates.
 """
 
 from __future__ import annotations
@@ -79,12 +78,16 @@ class PrincipalPair:
     """Orthonormal bases of two subspaces diagonalizing their cross-Gram.
 
     Column j of `e_basis` pairs with column j of `f_basis`;
-    <e_i, f_j> = cosines[j] * delta_ij with cosines sorted decreasing.
+    <e_i, f_j> = cosines[j] * delta_ij with cosines sorted decreasing and
+    `angles` increasing.  The columns of (e_basis, g_basis) are jointly
+    orthonormal and f_j = cos(angles[j]) e_j + sin(angles[j]) g_j.
     """
 
     e_basis: np.ndarray
     f_basis: np.ndarray
     cosines: np.ndarray
+    angles: np.ndarray
+    g_basis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,16 +153,19 @@ def _angles_from_cosines(cosines: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cosines, 0.0, 1.0))
 
 
-def _sine_cosine_angles(left: Subspace, right: Subspace, cross, cosines) -> np.ndarray:
-    """Angles from the cross-Gram left* right and its singular values (decreasing)."""
-    angles = _angles_from_cosines(cosines)
-    small = cosines * cosines > 0.5
-    if np.any(small):
-        residual = right.frame - left.frame @ cross
-        # sines sorted increasing pair with cosines sorted decreasing
-        sines = np.linalg.svd(residual, compute_uv=False)[::-1]
-        angles[small] = np.arcsin(np.clip(sines[small], 0.0, 1.0))
-    return angles
+def _sine_count(cosines: np.ndarray) -> int:
+    """How many leading angles to read from sines: those with cos^2 > 1/2.
+
+    There arccos loses accuracy and arcsin does not; elsewhere the reverse.
+    Cosines are sorted decreasing, so these angles come first.
+    """
+    return int(np.count_nonzero(cosines * cosines > 0.5))
+
+
+def _sine_cosine_angles(cosines: np.ndarray, sines: np.ndarray, k: int) -> np.ndarray:
+    """Arcsine of the first k sines, arccosine of the remaining cosines."""
+    from_sines = np.arcsin(np.clip(sines[:k], 0.0, 1.0))
+    return np.concatenate([from_sines, _angles_from_cosines(cosines[k:])])
 
 
 def jordan_angles(left: Subspace, right: Subspace) -> np.ndarray:
@@ -172,7 +178,13 @@ def jordan_angles(left: Subspace, right: Subspace) -> np.ndarray:
     """
     _check_pair(left, right)
     cross = left.frame.conj().T @ right.frame
-    return _sine_cosine_angles(left, right, cross, kernel.svd(cross).singular_values)
+    cosines = kernel.svd(cross).singular_values
+    k = _sine_count(cosines)
+    if k == 0:
+        return _angles_from_cosines(cosines)
+    # sines sorted increasing pair with cosines sorted decreasing
+    sines = np.linalg.svd(right.frame - left.frame @ cross, compute_uv=False)[::-1]
+    return _sine_cosine_angles(cosines, sines, k)
 
 
 def angles_from_gram(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -215,13 +227,40 @@ def projector_angles(left: Subspace, right: Subspace) -> np.ndarray:
 
 
 def principal_vectors(left: Subspace, right: Subspace) -> PrincipalPair:
-    """Paired orthonormal bases diagonalizing the cross-Gram matrix."""
+    """Paired orthonormal bases diagonalizing the cross-Gram matrix.
+
+    Split as in `jordan_angles`.  All right vectors come from the SVD of
+    the residual R = right - left C, C = left* right, so they form one
+    orthonormal basis even where equal angles straddle the split.  Where
+    cos^2 > 1/2 a residual singular pair gives g, and e is the direction of
+    left C z; elsewhere the SVD of C restricted to the remaining right
+    vectors gives e, and g is the direction of R v.  Each norm divided by
+    is >= 1/sqrt(2).  One QR of (e, g) makes them jointly orthonormal and
+    fills zero angles.
+    """
     _check_pair(left, right)
     cross = left.frame.conj().T @ right.frame
-    res = kernel.svd(cross)
-    e = left.frame @ res.left
-    f = right.frame @ res.right
-    return PrincipalPair(e_basis=e, f_basis=f, cosines=res.singular_values)
+    cosines = kernel.svd(cross).singular_values
+    k = _sine_count(cosines)
+    residual = right.frame - left.frame @ cross
+    y, sines, zh = np.linalg.svd(residual, full_matrices=False)
+    # sines sorted increasing pair with cosines sorted decreasing
+    y, sines, z = y[:, ::-1], sines[::-1], zh[::-1].conj().T
+    angles = _sine_cosine_angles(cosines, sines, k)
+    large = kernel.svd(cross @ z[:, k:])
+    v = z[:, k:] @ large.right
+    e_small = left.frame @ (cross @ z[:, :k])
+    g_large = residual @ v
+    e = np.hstack([e_small / np.linalg.norm(e_small, axis=0), left.frame @ large.left])
+    g = np.hstack([y[:, :k], g_large / np.linalg.norm(g_large, axis=0)])
+    # g by decreasing angle: the arbitrary g of zero angles come last, so
+    # they only fill what the determined columns leave
+    q, r = np.linalg.qr(np.hstack([e, g[:, ::-1]]))
+    # LAPACK's R has a real diagonal; its signs keep each column's direction
+    q = q * np.copysign(1.0, np.diagonal(r).real)
+    e, g = q[:, :left.dim], q[:, left.dim:][:, ::-1]
+    f = e * np.cos(angles) + g * np.sin(angles)
+    return PrincipalPair(e, f, cosines, angles, g)
 
 
 def minimax_probe(
@@ -299,7 +338,7 @@ def angle_rate(left: Subspace, right: Subspace, h: TangentVector) -> np.ndarray:
     """
     _check_pair(left, right)
     pair = principal_vectors(left, right)
-    psi = _angles_from_cosines(pair.cosines)
+    psi = pair.angles
     p = left.dim
     margin = GENERICITY_MARGIN
     if psi[0] < margin or psi[-1] > np.pi / 2 - margin:
@@ -308,13 +347,8 @@ def angle_rate(left: Subspace, right: Subspace, h: TangentVector) -> np.ndarray:
         )
     if p > 1 and np.min(np.diff(psi)) < margin:
         raise DegenerateConfigurationError("repeated angles: derivative formula degenerate")
-    rates = np.empty(p)
-    h_ambient = h.ambient_image()  # images of right.frame columns
-    coords = right.frame.conj().T  # ambient -> right-frame coordinates
-    for j in range(p):
-        f_j = pair.f_basis[:, j]
-        e_j = pair.e_basis[:, j]
-        r_j = (f_j * np.cos(psi[j]) - e_j) / np.sin(psi[j])
-        hf_j = h_ambient @ (coords @ f_j)
-        rates[j] = np.real(np.vdot(r_j, hf_j))
-    return rates
+    # unit direction in which f_j moves away from e_j as its angle grows
+    r = pair.g_basis * np.cos(psi) - pair.e_basis * np.sin(psi)
+    # images of the f_j under h, through their right-frame coordinates
+    hf = h.ambient_image() @ (right.frame.conj().T @ pair.f_basis)
+    return np.real(np.sum(r.conj() * hf, axis=0))

@@ -28,7 +28,6 @@ from scipy.optimize import linprog
 from .errors import CapabilityError, DimensionMismatchError
 
 BOUNDARY_TOL = 1e-9
-CERTIFICATE_TOL = 1e-7
 ENUMERATION_CAP = 5  # exact vertex enumeration bound (2^p * p! vertices)
 
 
@@ -318,7 +317,7 @@ def quasistochastic_decompose(a: np.ndarray, tol: float = 1e-12):
     return [(float(wt), elems[idx]) for idx, wt in res]
 
 
-def fan_ky_diagonal_check(a: np.ndarray) -> MembershipResult:
+def fan_ky_diagonal_check(a: np.ndarray, boundary_tol: float = BOUNDARY_TOL) -> MembershipResult:
     """Diagonal of a real p x q matrix against the orbit hull of its singular values."""
     from . import kernel
 
@@ -328,4 +327,4 @@ def fan_ky_diagonal_check(a: np.ndarray) -> MembershipResult:
         raise DimensionMismatchError(f"expected p <= q, got {a.shape}")
     diag = np.diagonal(a).copy()
     sigma = kernel.svd(a).singular_values[:p]
-    return orbit_membership(diag, sigma, group="signed")
+    return orbit_membership(diag, sigma, "signed", boundary_tol=boundary_tol)

@@ -139,6 +139,20 @@ class TestSubcommands:
         assert doc["result"]["inside"] is True
         assert doc["tolerances"]["boundary"] == 1e-9
 
+    def test_fan_ky_tolerance_reaches_the_check(self, tmp_path, capsys):
+        # Q diag(1, 0.5, 0.2) Q^t: inside in exact arithmetic, slack -2.2e-16 after rounding
+        mat = write(tmp_path, "a.txt",
+                    "0.7382402400203091 -0.03281187911645219 -0.2552497288123193\n"
+                    "-0.03281187911645219 0.26815490154449245 0.17255218081449739\n"
+                    "-0.2552497288123193 0.17255218081449739 0.6936048584351987\n")
+        code, doc = run(capsys, "fan-ky", "--matrix", mat)
+        assert code == 0
+        assert -1e-9 <= doc["result"]["slack"] < 0
+        code, doc = run(capsys, "--tol", "1e-30", "fan-ky", "--matrix", mat)
+        assert code == 1
+        assert doc["result"]["inside"] is False
+        assert doc["tolerances"]["boundary"] == 1e-30
+
     def test_posdef_angles(self, tmp_path, capsys):
         left = write(tmp_path, "l.txt", "4 0\n0 1\n")
         right = write(tmp_path, "r.txt", "1 0\n0 1\n")
@@ -158,6 +172,18 @@ class TestSubcommands:
         code, doc = run(capsys, "lidskii", "--x", x, "--z", z)
         assert code == 0
         assert doc["result"]["inside"] is True
+
+    def test_lidskii_tolerance_reaches_the_check(self, tmp_path, capsys):
+        # the rounded trace leaves a slack of about -3e-16
+        x = write(tmp_path, "x.txt", "1 1\n1 0\n")
+        z = write(tmp_path, "z.txt", "0.1 0.5\n0.5 -0.1\n")
+        code, doc = run(capsys, "lidskii", "--x", x, "--z", z)
+        assert code == 0
+        assert -1e-9 <= doc["result"]["slack"] < 0
+        code, doc = run(capsys, "--tol", "1e-30", "lidskii", "--x", x, "--z", z)
+        assert code == 1
+        assert doc["result"]["inside"] is False
+        assert doc["tolerances"]["boundary"] == 1e-30
 
     def test_ball_angles_with_distance(self, tmp_path, capsys):
         t = write(tmp_path, "t.txt", "0\n")

@@ -122,7 +122,7 @@ class TestHCurveBetween:
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_equal_endpoints_complete_the_frame(self, rng, cplx):
-        # every angle is zero, so each f column comes from the completion
+        # every angle is zero, so the QR of (e, g) supplies each f column
         l = random_subspace(3, 4, "complex" if cplx else "real", rng)
         curve = metrics.hcurve_between(l, l)
         combined = np.hstack([curve.e_frame, curve.f_frame])
@@ -168,15 +168,37 @@ class TestHCurveBetween:
         with pytest.raises(NoUniqueGeodesicError):
             metrics.hcurve_between(l, m)
 
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_angles_at_the_sine_cosine_split(self, rng, cplx):
+        # equal angles at pi/4 can fall on both sides of cos^2 > 1/2, and
+        # the curve must still end in the right subspace
+        field = "complex" if cplx else "real"
+        quarter = np.pi / 4
+        near = [quarter - 1e-12, quarter, quarter + 1e-12, 1.2]
+        for a in ([0.3, quarter, quarter, quarter], near):
+            for _ in range(25):
+                frame = random_rotation(8, field, rng)
+                e, f = frame[:, :4], frame[:, 4:]
+                l = sub.Subspace(e @ random_rotation(4, field, rng))
+                m = sub.Subspace((e * np.cos(a) + f * np.sin(a)) @ random_rotation(4, field, rng))
+                curve = metrics.hcurve_between(l, m)
+                at1 = metrics.hcurve_eval(curve, 1.0)
+                assert np.linalg.norm(at1.projector() - m.projector(), 2) < 1e-12
+                assert np.max(np.abs(curve.a - a)) < 1e-12
+
     def test_tiny_angles_handled(self, rng):
-        # nearly equal subspaces exercise the degenerate frame completion
-        l = random_subspace(2, 4, "real", rng)
-        m = sub.Subspace.from_spanning(l.frame + 1e-9 * rng.standard_normal(l.frame.shape))
-        curve = metrics.hcurve_between(l, m)
-        at1 = metrics.hcurve_eval(curve, 1.0)
-        # the cosines agree to rounding here, so the principal vectors paired
-        # by the cross-Gram SVD carry sqrt(eps) error, and so does the endpoint
-        assert np.linalg.norm(at1.projector() - m.projector()) < 1e-7
+        # the cosines agree to rounding here, so the pairing of e and f must
+        # come from the residual's singular vectors, not the cross-Gram's
+        for p, q in ((2, 4), (16, 16)):
+            for sep in (1e-9, 1e-5):
+                for _ in range(20):
+                    l = random_subspace(p, q, "real", rng)
+                    noise = sep * rng.standard_normal(l.frame.shape)
+                    m = sub.Subspace.from_spanning(l.frame + noise)
+                    curve = metrics.hcurve_between(l, m)
+                    at1 = metrics.hcurve_eval(curve, 1.0)
+                    assert np.linalg.norm(at1.projector() - m.projector()) < 1e-12
+                    assert np.max(np.abs(curve.a - sub.jordan_angles(l, m))) < 1e-12
 
 
 class TestFinslerLength:

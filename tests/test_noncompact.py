@@ -128,7 +128,9 @@ class TestBallAngles:
             t = random_ball_point(3, rng)
             assert np.all(nc.ball_angles(t, t) == 0)
 
-    def test_scalar_value(self):
+    def test_scalar_value(self, rng):
+        from grassgeo.harness import random_rotation
+
         # centre of the disc against the real point 1/2: the cross-ratio
         # matrix is the scalar (1 - 1/4)^(-1/2) = 2/sqrt(3)
         t = BallPoint(np.zeros((1, 1)))
@@ -136,6 +138,20 @@ class TestBallAngles:
         ang = nc.ball_angles(t, s)
         assert ang[0] == pytest.approx(np.arccosh(2.0 / np.sqrt(3.0)), abs=1e-12)
         assert ang[0] == pytest.approx(0.5493061443340549, abs=1e-12)
+        # T = 0 against S = U diag(tanh a) U^t has the angles a, small ones
+        # included.  With U = 1, S carries only the rounding of tanh a, and
+        # the bound is plain rtol 1e-8.  Rounding a rotated S moves its
+        # singular values by up to a few eps * |S|, an error no route can
+        # undo, so there rtol 1e-8 gets that floor.
+        a = np.array([1e-9, 1e-6, 0.3])
+        t = BallPoint(np.zeros((3, 3)))
+        assert np.all(np.abs(nc.ball_angles(t, BallPoint(np.diag(np.tanh(a)))) - a) <= 1e-8 * a)
+        floor = 4 * np.finfo(float).eps * a[-1]
+        for _ in range(20):
+            u = random_rotation(3, "complex", rng)
+            s = BallPoint(u @ np.diag(np.tanh(a)) @ u.T)
+            assert np.all(np.abs(nc.ball_angles(t, s) - a) <= 1e-8 * a + floor)
+            assert np.all(nc.ball_angles(s, s) == 0)
 
     def test_symmetry(self, rng):
         for _ in range(20):

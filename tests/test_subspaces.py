@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,42 @@ class TestPrincipalVectors:
             pair = sub.principal_vectors(l, m)
             gram = pair.e_basis.conj().T @ pair.f_basis
             assert np.linalg.norm(gram - np.diag(pair.cosines)) < 1e-9
+            g = pair.g_basis
+            assert np.linalg.norm(g.conj().T @ g - np.eye(3)) < 1e-12
+            assert np.linalg.norm(l.frame.conj().T @ g) < 1e-12
+            rebuilt = pair.e_basis * np.cos(pair.angles) + g * np.sin(pair.angles)
+            assert np.linalg.norm(pair.f_basis - rebuilt) < 1e-12
+
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_zero_and_right_angles_mixed(self, rng, cplx):
+        # the g of zero angles are arbitrary; they must not take a direction
+        # that a determined column needs.  Coordinate subspaces are the
+        # sharpest case: there the arbitrary g can lie inside the left one.
+        # Equal or nearly equal angles at pi/4 straddle the sine/cosine
+        # split, so their e and g must still come from one right basis.
+        field = "complex" if cplx else "real"
+        eye = np.eye(6, dtype=complex if cplx else float)
+        pairs = [(eye[:, :3], eye[:, list(cols)], None) for cols in itertools.combinations(range(6), 3)]
+        quarter = np.pi / 4
+        choices = [0.0, 1e-9, 0.3, quarter - 1e-12, quarter, quarter + 1e-12, np.pi / 2]
+        draws = [np.sort(rng.choice(choices, 4)) for _ in range(50)]
+        draws += [np.array([0.3, quarter, quarter, quarter]),
+                  np.array([quarter - 1e-12, quarter, quarter + 1e-12, 1.2])] * 25
+        for a in draws:
+            frame = random_rotation(8, field, rng)
+            e, f = frame[:, :4], frame[:, 4:]
+            pairs.append((e @ random_rotation(4, field, rng),
+                          (e * np.cos(a) + f * np.sin(a)) @ random_rotation(4, field, rng), a))
+        for lf, mf, a in pairs:
+            l, m = sub.Subspace(lf), sub.Subspace(mf)
+            pair = sub.principal_vectors(l, m)
+            combined = np.hstack([pair.e_basis, pair.g_basis])
+            assert np.linalg.norm(combined.conj().T @ combined - np.eye(combined.shape[1])) < 1e-12
+            assert np.linalg.norm(pair.e_basis @ pair.e_basis.conj().T - l.projector()) < 1e-12
+            assert np.linalg.norm(pair.f_basis @ pair.f_basis.conj().T - m.projector()) < 1e-12
+            if a is not None:
+                assert np.max(np.abs(pair.angles - a)) < 1e-12
 
 
 class TestMinimaxProbe:
