@@ -247,8 +247,7 @@ def _run(args) -> tuple[int, dict, dict]:
             "terms": _certificate_out(terms),
             "reconstruction_error": err,
         }
-        ok = err <= (1e-7 if args.signed else 1e-9)
-        return (0 if ok else 1), result, tolerances
+        return (0 if err <= 1e-9 else 1), result, tolerances
 
     if cmd == "fan-ky":
         a = _load_matrix(args.matrix)

@@ -41,7 +41,11 @@ class NoUniqueGeodesicError(GrassGeoError, ValueError):
 
 
 class CapabilityError(GrassGeoError, ValueError):
-    """The request exceeds an exact-enumeration capability bound."""
+    """The request exceeds an exact-enumeration capability bound.
+
+    Only `weyl.enumerate_group` raises it (p > 5 signed, p > 7 plain); only
+    the vertex-LP test oracle enumerates the group.
+    """
 
 
 class NumericalConsistencyError(GrassGeoError, ArithmeticError):

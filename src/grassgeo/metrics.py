@@ -236,7 +236,7 @@ def triangle_check(
 ) -> TriangleReport:
     """Certify the triangle relation for the angles of three subspaces.
 
-    Verdicts work at any p; certificates enumerate the group (p <= 5).
+    Verdicts and certificates work at any p; neither enumerates the group.
     """
     phi = jordan_angles(l, m)
     psi = jordan_angles(m, n)

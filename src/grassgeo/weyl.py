@@ -2,18 +2,18 @@
 
 Membership of a point in the convex hull of the orbit of a vector under
 signed permutations (or plain permutations), with optional convex-
-combination certificates by exact vertex enumeration; Birkhoff
-decomposition of bistochastic matrices and its signed analogue for
-quasistochastic matrices; and the diagonal-vs-singular-values check.
+combination certificates; Birkhoff decomposition of bistochastic matrices
+and its signed analogue for quasistochastic matrices; and the
+diagonal-vs-singular-values check.
 
 Membership criteria:
   * signed group: sum of the k largest |x| entries bounded by the sum of
     the k largest psi entries, for every k (weak absolute majorization);
   * permutation group: classical majorization (partial-sum inequalities
     plus total-sum equality).
-Both hold at any p; only certificates, the quasistochastic decomposition
-and the vertex LP oracle (`vertex_lp_membership`, which cross-validates
-the criteria in the test suite) enumerate the group, capped at p <= 5.
+Certificates are built at any p from T-transforms and Birkhoff's theorem;
+only the vertex LP oracle (`vertex_lp_membership`, which cross-validates
+the criteria in the test suite) enumerates the group, capped at p <= 5.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import CapabilityError, DimensionMismatchError
 
@@ -44,6 +44,8 @@ class SignedPermutation:
             raise ValueError(f"not a permutation of 0..{p - 1}: {self.perm}")
         if len(self.signs) != p or any(s not in (-1, 1) for s in self.signs):
             raise ValueError(f"signs must be +/-1 of length {p}: {self.signs}")
+        object.__setattr__(self, "perm", tuple(int(i) for i in self.perm))
+        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
 
     @property
     def size(self) -> int:
@@ -82,13 +84,13 @@ def _orbit_index(p: int, signed: bool):
     elems = enumerate_group(p, signed)
     perms = np.array([e.perm for e in elems], dtype=int)
     signs = np.array([e.signs for e in elems], dtype=float)
-    return elems, perms, signs
+    return perms, signs
 
 
 def orbit_matrix(x: np.ndarray, signed: bool = True) -> np.ndarray:
     """Stack of w(x) over the whole group, one row per element."""
     x = np.asarray(x, dtype=float)
-    _, perms, signs = _orbit_index(len(x), signed)
+    perms, signs = _orbit_index(len(x), signed)
     return signs * x[perms]
 
 
@@ -134,9 +136,9 @@ def orbit_membership(
     """Is x in the convex hull of the group orbit of psi?
 
     `group` is "signed" (hyperoctahedral) or "permutation".  For the signed
-    group psi must be nonnegative.  Certificates require p <= 5; a signed
-    certificate for x inside only by `boundary_tol` rebuilds x shrunk onto
-    the hull.
+    group psi must be nonnegative.  Certificates work at any p, with at
+    most ((p-1)^2 + 1)(p + 1) terms; for x inside only by `boundary_tol`
+    they rebuild x up to that violation.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -151,57 +153,71 @@ def orbit_membership(
     inside = slack >= -boundary_tol
     certificate = None
     if want_certificate and inside:
-        p = len(x)
-        if p > ENUMERATION_CAP:
-            raise CapabilityError(
-                f"certificates need vertex enumeration, capped at p = {ENUMERATION_CAP}"
-            )
-        certificate = _certificate(x, psi, signed)
+        if signed:
+            certificate = _signed_certificate(x, psi)
+        else:
+            certificate = birkhoff_decompose(_bistochastic_map(x, psi))
     return MembershipResult(inside=inside, slack=slack, certificate=certificate)
 
 
-def _certificate(x: np.ndarray, psi: np.ndarray, signed: bool):
-    elems, _, _ = _orbit_index(len(x), signed)
-    verts = orbit_matrix(psi, signed)  # G x p
-    if signed:
-        # inside by tolerance may be outside by roundoff: shrink onto the hull
-        s_x = np.cumsum(np.sort(np.abs(x))[::-1])
-        s_psi = np.cumsum(np.sort(psi)[::-1])
-        pos = s_x > 0
-        x = x * float(np.min(s_psi[pos] / s_x[pos], initial=1.0))
-    # the LP's feasibility tolerance is absolute: solve at unit scale
-    scale = float(np.max(np.abs(psi), initial=0.0))
-    if scale > 0:
-        verts, x = verts / scale, x / scale
-    res = _convex_combination(verts, x)
-    if res is None:
-        return None
-    return [(float(wt), elems[idx]) for idx, wt in res]
+def _bistochastic_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bistochastic M with x = M y for x majorized by y, by T-transforms.
 
-
-def _convex_combination(verts: np.ndarray, target: np.ndarray):
-    """Weights of a convex combination of the rows of `verts` hitting `target`.
-
-    Returns a list of (row index, weight) or None if infeasible.
+    Hardy-Littlewood-Polya (Marshall, Olkin & Arnold, Inequalities, 2.B.1)
+    on x and y sorted decreasing: take the first negative gap k of y - x with
+    a positive gap before it and the last positive gap j before k, move the
+    smaller of the two gaps from y_j to y_k and set the closed one to x
+    exactly.  Each step closes a gap, so at most p - 1 are needed; gaps left
+    by a boundary tolerance stay.
     """
-    g, p = verts.shape
-    a_eq = np.vstack([verts.T, np.ones((1, g))])
-    b_eq = np.concatenate([target, [1.0]])
-    res = linprog(np.zeros(g), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        return None
-    weights = res.x
-    keep = weights > 1e-12
-    weights = weights[keep] / weights[keep].sum()
-    return list(zip(np.nonzero(keep)[0], weights))
+    ix = np.argsort(-x, kind="stable")
+    iy = np.argsort(-y, kind="stable")
+    xs, ys = x[ix], y[iy]
+    d = np.eye(len(x))
+    for _ in range(len(x) - 1):
+        gap = ys - xs
+        pos = np.flatnonzero(gap > 0)
+        neg = np.flatnonzero(gap < 0)
+        neg = neg[neg > pos[0]] if len(pos) else neg[:0]
+        if not len(neg):
+            break
+        k = neg[0]
+        j = pos[pos < k][-1]
+        delta = min(gap[j], -gap[k])
+        lam = delta / (ys[j] - ys[k])
+        d[[j, k]] = (1 - lam) * d[[j, k]] + lam * d[[k, j]]
+        ys[j], ys[k] = (xs[j], ys[k] + delta) if gap[j] <= -gap[k] else (ys[j] - delta, xs[k])
+    m = np.empty_like(d)
+    m[np.ix_(ix, iy)] = d
+    return m
+
+
+def _signed_certificate(x: np.ndarray, psi: np.ndarray):
+    """Signed-group certificate for |x| weakly majorized by psi >= 0.
+
+    Lowering the smallest psi entries, each by at most 2 psi_i, until the
+    sum is sum |x| gives v = c psi with |c_i| <= 1 and |x| majorized by v.
+    With |x| = M v, q = diag(sign x) M diag(c) is quasistochastic and
+    x = q psi.
+    """
+    order = np.argsort(psi, kind="stable")
+    room = 2 * psi[order]
+    cut = np.clip(psi.sum() - np.abs(x).sum() - (np.cumsum(room) - room), 0, room)
+    c = np.ones(len(psi))
+    c[order] -= np.divide(cut, psi[order], out=np.zeros_like(cut), where=room > 0)
+    sign = np.where(x < 0, -1.0, 1.0)
+    q = sign[:, None] * _bistochastic_map(np.abs(x), c * psi) * c
+    return quasistochastic_decompose(q)
 
 
 def vertex_lp_membership(x, psi, group: str = "signed") -> bool:
     """Brute-force membership oracle by LP over the enumerated orbit."""
     x = np.asarray(x, dtype=float)
-    psi = np.asarray(psi, dtype=float)
     verts = orbit_matrix(psi, group == "signed")
-    return _convex_combination(verts, x) is not None
+    g = len(verts)
+    res = linprog(np.zeros(g), A_eq=np.vstack([verts.T, np.ones((1, g))]),
+                  b_eq=np.append(x, 1.0), bounds=(0, None), method="highs")
+    return bool(res.success)
 
 
 def reconstruct_certificate(certificate, psi: np.ndarray) -> np.ndarray:
@@ -230,33 +246,6 @@ def _check_bistochastic(a: np.ndarray, tol: float = 1e-9):
         )
 
 
-def _perfect_matching(support: np.ndarray):
-    """Perfect matching on a bipartite support graph by augmenting paths.
-
-    support[i, j] truthy means row i may be matched to column j.  Returns
-    match[i] = column of row i, or None if no perfect matching exists.
-    """
-    p = support.shape[0]
-    match_col = [-1] * p  # column -> row
-
-    def try_row(i, seen):
-        for j in range(p):
-            if support[i, j] and not seen[j]:
-                seen[j] = True
-                if match_col[j] < 0 or try_row(match_col[j], seen):
-                    match_col[j] = i
-                    return True
-        return False
-
-    for i in range(p):
-        if not try_row(i, [False] * p):
-            return None
-    match_row = [-1] * p
-    for j, i in enumerate(match_col):
-        match_row[i] = j
-    return match_row
-
-
 def birkhoff_decompose(a: np.ndarray, tol: float = 1e-9):
     """Write a bistochastic matrix as a convex combination of permutations.
 
@@ -271,37 +260,33 @@ def birkhoff_decompose(a: np.ndarray, tol: float = 1e-9):
     _check_bistochastic(a, tol)
     p = a.shape[0]
     rem = np.clip(a, 0.0, None).copy()
+    rows = np.arange(p)
     terms = []
-    total = 0.0
     for _ in range((p - 1) ** 2 + 1):
-        if total >= 1.0 - 1e-12:
+        # entries below 1e-14 are rounding left by earlier subtractions
+        support = rem > 1e-14
+        _, match = linear_sum_assignment(support, maximize=True)
+        if not support[rows, match].all():
             break
-        support = rem > 1e-12
-        match = _perfect_matching(support)
-        if match is None:
-            break
-        weight = float(min(rem[i, match[i]] for i in range(p)))
-        perm = SignedPermutation(tuple(match), (1,) * p)
-        # subtract weight at the matched positions
-        for i in range(p):
-            rem[i, match[i]] -= weight
-        terms.append((weight, perm))
-        total += weight
+        weight = float(rem[rows, match].min())
+        rem[rows, match] -= weight
+        terms.append((weight, SignedPermutation(match, (1,) * p)))
     return terms
 
 
 def quasistochastic_decompose(a: np.ndarray, tol: float = 1e-12):
     """Convex combination of signed permutation matrices equal to `a`.
 
-    Requires absolute row and column sums <= 1 and p <= 5 (vertex
-    enumeration).  Solved as an LP feasibility problem over the group.
+    Requires absolute row and column sums <= 1.  |a| is raised greedily to a
+    bistochastic b (at most 2p - 1 fills) and expanded by `birkhoff_decompose`.
+    On each permutation the ratios r = a_ij / b_ij in [-1, 1] are the average
+    over thresholds t in [0, 1] of the sign vectors [r > 2t - 1], of which at
+    most p + 1 differ: at most ((p-1)^2 + 1)(p + 1) terms.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
     p = a.shape[0]
-    if p > ENUMERATION_CAP:
-        raise CapabilityError(f"exact enumeration capped at p = {ENUMERATION_CAP}, got {p}")
     rows = np.abs(a).sum(axis=1)
     cols = np.abs(a).sum(axis=0)
     if np.max(rows) > 1 + tol or np.max(cols) > 1 + tol:
@@ -309,12 +294,23 @@ def quasistochastic_decompose(a: np.ndarray, tol: float = 1e-12):
             "matrix is not quasistochastic "
             f"(worst absolute row sum {np.max(rows):.12f}, column sum {np.max(cols):.12f})"
         )
-    elems, _, _ = _orbit_index(p, True)
-    verts = np.array([e.matrix().ravel() for e in elems])
-    res = _convex_combination(verts, a.ravel())
-    if res is None:
-        raise ValueError("LP feasibility failed on a quasistochastic matrix")
-    return [(float(wt), elems[idx]) for idx, wt in res]
+    b = np.abs(a)
+    col_gap = np.clip(1 - cols, 0, None)
+    for i, row_gap in enumerate(np.clip(1 - rows, 0, None)):
+        # row i takes the column gaps in order until its own gap is filled
+        fill = np.diff(np.minimum(np.cumsum(col_gap), row_gap), prepend=0.0)
+        b[i] += fill
+        col_gap -= fill
+    terms = []
+    idx = np.arange(p)
+    for weight, w in birkhoff_decompose(b):
+        match = list(w.perm)
+        u = (1 + np.clip(a[idx, match] / b[idx, match], -1, 1)) / 2
+        cuts = np.unique(np.concatenate([[0.0], u, [1.0]]))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            signs = np.where(u > lo, 1, -1)
+            terms.append((weight * float(hi - lo), SignedPermutation(match, signs)))
+    return terms
 
 
 def fan_ky_diagonal_check(a: np.ndarray, boundary_tol: float = BOUNDARY_TOL) -> MembershipResult:

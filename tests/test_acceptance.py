@@ -225,7 +225,7 @@ def test_09_decomposition_suite():
             rec = sum(wt * w.matrix() for wt, w in terms)
             worst_birkhoff = max(worst_birkhoff, float(np.max(np.abs(rec - a))))
     worst_quasi = 0.0
-    for p in (2, 3, 4):
+    for p in (2, 3, 4, 5, 6):
         for _ in range(5):
             u = random_rotation(p, "real", rng)
             v = random_rotation(p, "real", rng)
@@ -237,7 +237,7 @@ def test_09_decomposition_suite():
     for _ in range(500):
         res = weyl.fan_ky_diagonal_check(rng.standard_normal((4, 6)))
         worst_diag = min(worst_diag, res.slack)
-    ok = (worst_birkhoff <= 1e-9 and terms_ok and worst_quasi <= 1e-7
+    ok = (worst_birkhoff <= 1e-9 and terms_ok and worst_quasi <= 1e-9
           and worst_diag >= -1e-9)
     _report(9, "decomposition suite", ok,
             f"birkhoff {worst_birkhoff:.2e}, quasistochastic {worst_quasi:.2e}, "

@@ -107,17 +107,18 @@ class TestSubcommands:
         assert ang == pytest.approx(np.pi / 8, abs=1e-9)
 
     def test_triangle_inside_with_certificate(self, tmp_path, capsys, rng):
-        paths = []
-        for name in ("l", "m", "n"):
-            frame = np.linalg.qr(rng.standard_normal((5, 2)))[0]
-            paths.append(write(tmp_path, f"{name}.txt", cli.format_matrix(frame)))
-        code, doc = run(capsys, "triangle", "--l", paths[0], "--m", paths[1],
-                        "--n", paths[2], "--certificate")
-        assert code == 0
-        assert doc["result"]["inside"] is True
-        assert doc["result"]["best_slack"] >= -1e-8
-        weights = [t["weight"] for t in doc["result"]["certificate"]]
-        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+        for n, p in ((5, 2), (16, 8)):
+            paths = []
+            for name in ("l", "m", "n"):
+                frame = np.linalg.qr(rng.standard_normal((n, p)))[0]
+                paths.append(write(tmp_path, f"{name}.txt", cli.format_matrix(frame)))
+            code, doc = run(capsys, "triangle", "--l", paths[0], "--m", paths[1],
+                            "--n", paths[2], "--certificate")
+            assert code == 0
+            assert doc["result"]["inside"] is True
+            assert doc["result"]["best_slack"] >= -1e-8
+            weights = [t["weight"] for t in doc["result"]["certificate"]]
+            assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_decompose_bistochastic(self, tmp_path, capsys):
         mat = write(tmp_path, "a.txt", "0.5 0.5\n0.5 0.5\n")
@@ -126,11 +127,17 @@ class TestSubcommands:
         assert doc["result"]["kind"] == "bistochastic"
         assert doc["result"]["reconstruction_error"] <= 1e-9
 
-    def test_decompose_signed(self, tmp_path, capsys):
+    def test_decompose_signed(self, tmp_path, capsys, rng):
         mat = write(tmp_path, "a.txt", "0 -1\n1 0\n")
         code, doc = run(capsys, "decompose", "--matrix", mat, "--signed")
         assert code == 0
         assert doc["result"]["kind"] == "quasistochastic"
+        # Schur product of two orthogonal matrices, beyond any enumeration
+        u, v = (np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(2))
+        mat = write(tmp_path, "b.txt", cli.format_matrix(u * v))
+        code, doc = run(capsys, "decompose", "--matrix", mat, "--signed")
+        assert code == 0
+        assert doc["result"]["reconstruction_error"] <= 1e-9
 
     def test_fan_ky(self, tmp_path, capsys):
         mat = write(tmp_path, "a.txt", "1 0 2\n0 -1 1\n")

@@ -1,11 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grassgeo import weyl
-from grassgeo.errors import CapabilityError
+from grassgeo import cli, weyl
 from grassgeo.harness import random_rotation
 
 from conftest import random_matrix
@@ -15,6 +16,17 @@ finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
 
 def reconstruct(terms):
     return sum(wt * w.matrix() for wt, w in terms)
+
+
+def max_terms(p):
+    return ((p - 1) ** 2 + 1) * (p + 1)
+
+
+def random_bistochastic(rng, p):
+    a = np.zeros((p, p))
+    for wt in rng.dirichlet(np.ones(int(rng.integers(1, 2 * p + 1)))):
+        a += wt * np.eye(p)[rng.permutation(p)]
+    return a
 
 
 class TestSignedPermutation:
@@ -28,6 +40,13 @@ class TestSignedPermutation:
             weyl.SignedPermutation((0, 0, 1), (1, 1, 1))
         with pytest.raises(ValueError):
             weyl.SignedPermutation((0, 1), (1, 2))
+
+    def test_numpy_inputs_are_stored_as_ints(self):
+        w = weyl.SignedPermutation(np.array([1, 0]), np.array([1, -1]))
+        assert w == weyl.SignedPermutation((1, 0), (1, -1))
+        assert hash(w) == hash(weyl.SignedPermutation((1, 0), (1, -1)))
+        assert json.loads(json.dumps(cli._perm_out(w))) == {"perm": [1, 0], "signs": [1, -1]}
+        assert all(type(v) is int for v in w.perm + w.signs)
 
     def test_group_sizes(self):
         assert len(weyl.enumerate_group(3, signed=True)) == 48
@@ -69,6 +88,31 @@ class TestOrbitMembership:
             assert np.max(np.abs(rec - x)) < 1e-7
             total = sum(wt for wt, _ in res.certificate)
             assert abs(total - 1) < 1e-9
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 16])
+    def test_permutation_certificates(self, rng, p):
+        cases = []
+        for _ in range(10):
+            psi = rng.standard_normal(p)
+            cases.append((random_bistochastic(rng, p) @ psi, psi))
+            tied = psi.copy()
+            tied[rng.choice(p, size=(p + 1) // 2, replace=False)] = psi[0]
+            cases.append((random_bistochastic(rng, p) @ tied, tied))
+            cases.append((psi[rng.permutation(p)], psi))
+            cases.append((np.full(p, psi.mean()), psi))
+            # outside the hull by at most half the tolerance: inside only by it
+            nudge = rng.uniform(-0.5, 0.5, p) * weyl.BOUNDARY_TOL / p
+            cases.append((random_bistochastic(rng, p) @ psi + nudge, psi))
+        for x, psi in cases:
+            res = weyl.orbit_membership(x, psi, "permutation", want_certificate=True)
+            assert res.inside
+            weights = np.array([wt for wt, _ in res.certificate])
+            assert np.all(weights >= 0) and abs(weights.sum() - 1) <= 1e-12
+            assert len(res.certificate) <= max_terms(p)
+            assert all(w.signs == (1,) * p for _, w in res.certificate)
+            rec = weyl.reconstruct_certificate(res.certificate, psi)
+            bound = 2 * max(0.0, -res.slack) + 1e-12 * np.max(np.abs(psi))
+            assert np.max(np.abs(rec - x)) <= bound
 
     def test_negative_psi_rejected_for_signed(self):
         with pytest.raises(ValueError):
@@ -162,18 +206,16 @@ class TestQuasistochastic:
             m = np.abs(w.matrix())
             assert np.allclose(m.sum(axis=0), 1) and np.allclose(m.sum(axis=1), 1)
 
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8])
     def test_schur_product_of_orthogonals(self, rng, p):
         for _ in range(8):
             u = random_rotation(p, "real", rng)
             v = random_rotation(p, "real", rng)
             a = u * v
             terms = weyl.quasistochastic_decompose(a)
-            assert np.max(np.abs(reconstruct(terms) - a)) <= 1e-7
-
-    def test_capability_cap(self):
-        with pytest.raises(CapabilityError):
-            weyl.quasistochastic_decompose(np.zeros((6, 6)))
+            assert len(terms) <= max_terms(p)
+            assert all(wt >= 0 for wt, _ in terms)
+            assert np.max(np.abs(reconstruct(terms) - a)) <= 1e-9
 
     def test_rejects_excess_row_sum(self):
         with pytest.raises(ValueError, match="quasistochastic"):
