@@ -12,7 +12,6 @@ from .errors import (  # noqa: F401
     MatrixParseError,
     NoUniqueGeodesicError,
     NotPositiveDefiniteError,
-    NumericalConsistencyError,
     RankDeficiencyError,
 )
 from .kernel import SvdResult, cholesky, eig_hermitian, inv_sqrt_psd, qr_orthonormalize, svd  # noqa: F401

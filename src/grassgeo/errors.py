@@ -48,10 +48,6 @@ class CapabilityError(GrassGeoError, ValueError):
     """
 
 
-class NumericalConsistencyError(GrassGeoError, ArithmeticError):
-    """A quantity violated a bound the theory guarantees, beyond roundoff."""
-
-
 class MatrixParseError(GrassGeoError, ValueError):
     """Matrix text input is malformed."""
 

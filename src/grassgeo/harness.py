@@ -210,16 +210,10 @@ def run_trials(config: TrialConfig) -> FuzzReport:
             }
             rep = metrics.triangle_check(l, m, n)
             stat("triangle-membership").record(rep.best_slack, tol, dump)
-            sym = -float(
-                np.max(np.abs(subspaces.jordan_angles(l, m) - subspaces.jordan_angles(m, l)))
-            )
+            sym = -float(np.max(np.abs(rep.phi - subspaces.jordan_angles(m, l))))
             stat("angle-symmetry").record(sym, tol, dump)
             for norm in norms:
-                margin = (
-                    metrics.distance(l, m, norm)
-                    + metrics.distance(m, n, norm)
-                    - metrics.distance(l, n, norm)
-                )
+                margin = norm(rep.phi) + norm(rep.psi) - norm(rep.theta)
                 stat(f"metric-triangle-{norm.label()}").record(margin, tol, dump)
         elif config.space == "posdef":
             l = random_posdef(config.n, "complex", rng)
@@ -249,18 +243,11 @@ def run_trials(config: TrialConfig) -> FuzzReport:
             }
             sigma = kernel.svd(noncompact.cross_ratio_matrix(t, s)).singular_values
             stat("ball-sigma-above-one").record(float(sigma[-1] - 1.0), 1e-9, dump)
-            sym = -float(
-                np.max(
-                    np.abs(noncompact.ball_angles(t, s) - noncompact.ball_angles(s, t))
-                )
-            )
+            ts, su, tu = (noncompact.ball_angles(a, b) for a, b in ((t, s), (s, u), (t, u)))
+            sym = -float(np.max(np.abs(ts - noncompact.ball_angles(s, t))))
             stat("ball-angle-symmetry").record(sym, tol, dump)
             for norm in norms:
-                margin = (
-                    noncompact.ball_distance(t, s, norm)
-                    + noncompact.ball_distance(s, u, norm)
-                    - noncompact.ball_distance(t, u, norm)
-                )
+                margin = norm(ts) + norm(su) - norm(tu)
                 stat(f"ball-metric-triangle-{norm.label()}").record(margin, tol, dump)
 
     return FuzzReport(config=config, checks=checks, wall_time=time.perf_counter() - t0)

@@ -2,18 +2,19 @@
 
 Membership of a point in the convex hull of the orbit of a vector under
 signed permutations (or plain permutations), with optional convex-
-combination certificates; Birkhoff decomposition of bistochastic matrices
-and its signed analogue for quasistochastic matrices; and the
-diagonal-vs-singular-values check.
+combination certificates of at most p + 1 orbit points; Birkhoff
+decomposition of bistochastic matrices and its signed analogue for
+quasistochastic matrices; and the diagonal-vs-singular-values check.
 
 Membership criteria:
   * signed group: sum of the k largest |x| entries bounded by the sum of
     the k largest psi entries, for every k (weak absolute majorization);
   * permutation group: classical majorization (partial-sum inequalities
     plus total-sum equality).
-Certificates are built at any p from T-transforms and Birkhoff's theorem;
-only the vertex LP oracle (`vertex_lp_membership`, which cross-validates
-the criteria in the test suite) enumerates the group, capped at p <= 5.
+Certificates are built at any p by one walk down the faces of the orbit
+polytope (`_face_walk`); only the vertex LP oracle (`vertex_lp_membership`,
+which cross-validates the criteria in the test suite) enumerates the
+group, capped at p <= 5.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class MembershipResult:
 
     `slack` is the tightest margin over the defining inequalities
     (negative means violated by that amount).  `certificate`, when present,
-    is a list of (weight, SignedPermutation) whose convex combination of
-    orbit points reconstructs the query.
+    is a list of at most p + 1 (weight, SignedPermutation) pairs whose
+    convex combination of orbit points reconstructs the query.
     """
 
     inside: bool
@@ -137,8 +138,8 @@ def orbit_membership(
 
     `group` is "signed" (hyperoctahedral) or "permutation".  For the signed
     group psi must be nonnegative.  Certificates work at any p, with at
-    most ((p-1)^2 + 1)(p + 1) terms; for x inside only by `boundary_tol`
-    they rebuild x up to that violation.
+    most p + 1 terms (p for the permutation group); for x inside only by
+    `boundary_tol` they rebuild x up to that violation.
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -153,61 +154,62 @@ def orbit_membership(
     inside = slack >= -boundary_tol
     certificate = None
     if want_certificate and inside:
-        if signed:
-            certificate = _signed_certificate(x, psi)
-        else:
-            certificate = birkhoff_decompose(_bistochastic_map(x, psi))
+        certificate = _face_walk(x, psi, signed)
     return MembershipResult(inside=inside, slack=slack, certificate=certificate)
 
 
-def _bistochastic_map(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bistochastic M with x = M y for x majorized by y, by T-transforms.
+def _face_walk(x: np.ndarray, psi: np.ndarray, signed: bool):
+    """Certificate for x in the orbit hull of psi, walking down faces.
 
-    Hardy-Littlewood-Polya (Marshall, Olkin & Arnold, Inequalities, 2.B.1)
-    on x and y sorted decreasing: take the first negative gap k of y - x with
-    a positive gap before it and the last positive gap j before k, move the
-    smaller of the two gaps from y_j to y_k and set the closed one to x
-    exactly.  Each step closes a gap, so at most p - 1 are needed; gaps left
-    by a boundary tolerance stay.
+    y, the entries of x sorted decreasing (signed: of |x|, signs set aside),
+    is paired with psi sorted decreasing (Yasutake et al., ISAAC 2011,
+    extended to signs).  The face is a list of runs whose within-run prefix
+    sums of y already equal psi's: runs before `free` are closed and hold a
+    permutation of their psi run, the run from `free` on (signed only) is
+    open and holds a signed permutation of it.  The vertex v with closed
+    runs reversed and the open run at -psi makes y - v ordered like y, so
+    y + mu (y - v) stays on the face until a prefix sum reaches psi's; then
+    y = t v + (1 - t) y' with t = mu / (1 + mu) and that run splits.  Each
+    step splits a run: at most p + 1 terms (p for permutations).  Negative
+    gaps, left by a boundary tolerance, count as tight.
     """
-    ix = np.argsort(-x, kind="stable")
-    iy = np.argsort(-y, kind="stable")
-    xs, ys = x[ix], y[iy]
-    d = np.eye(len(x))
-    for _ in range(len(x) - 1):
-        gap = ys - xs
-        pos = np.flatnonzero(gap > 0)
-        neg = np.flatnonzero(gap < 0)
-        neg = neg[neg > pos[0]] if len(pos) else neg[:0]
-        if not len(neg):
+    p = len(x)
+    sx = np.where(x < 0, -1, 1) if signed else np.ones(p, dtype=int)
+    ix = np.argsort(-sx * x, kind="stable")
+    ip = np.argsort(-psi, kind="stable")
+    inv = np.argsort(ix)
+    y, ps = (sx * x)[ix], psi[ip]
+    idx = np.arange(p)
+    start, end = np.zeros(p, dtype=int), np.full(p, p - 1)  # bounds of each run
+    free = 0 if signed else p
+    terms, rest = [], 1.0
+    while True:
+        closed = idx < free
+        perm = np.where(closed, start + end - idx, idx)
+        sign = np.where(closed, 1, -1)
+        vertex = (ip[perm][inv].tolist(), (sx * sign[inv]).tolist())
+        d = y - sign * ps[perm]
+        # growth and gap of every prefix sum inside its run
+        a = np.stack([d, ps - y])
+        c = np.cumsum(a, axis=1)
+        growth, gap = c - (c - a)[:, start]
+        grows = (growth > 0) & ((end > idx) | ~closed)
+        if not grows.any():
             break
-        k = neg[0]
-        j = pos[pos < k][-1]
-        delta = min(gap[j], -gap[k])
-        lam = delta / (ys[j] - ys[k])
-        d[[j, k]] = (1 - lam) * d[[j, k]] + lam * d[[k, j]]
-        ys[j], ys[k] = (xs[j], ys[k] + delta) if gap[j] <= -gap[k] else (ys[j] - delta, xs[k])
-    m = np.empty_like(d)
-    m[np.ix_(ix, iy)] = d
-    return m
-
-
-def _signed_certificate(x: np.ndarray, psi: np.ndarray):
-    """Signed-group certificate for |x| weakly majorized by psi >= 0.
-
-    Lowering the smallest psi entries, each by at most 2 psi_i, until the
-    sum is sum |x| gives v = c psi with |c_i| <= 1 and |x| majorized by v.
-    With |x| = M v, q = diag(sign x) M diag(c) is quasistochastic and
-    x = q psi.
-    """
-    order = np.argsort(psi, kind="stable")
-    room = 2 * psi[order]
-    cut = np.clip(psi.sum() - np.abs(x).sum() - (np.cumsum(room) - room), 0, room)
-    c = np.ones(len(psi))
-    c[order] -= np.divide(cut, psi[order], out=np.zeros_like(cut), where=room > 0)
-    sign = np.where(x < 0, -1.0, 1.0)
-    q = sign[:, None] * _bistochastic_map(np.abs(x), c * psi) * c
-    return quasistochastic_decompose(q)
+        ratio = np.full(p, np.inf)
+        ratio[grows] = np.maximum(gap[grows], 0) / growth[grows]
+        k = int(np.argmin(ratio))
+        mu = float(ratio[k])
+        t = mu / (1 + mu)
+        if t > 0:
+            terms.append((rest * t, vertex))
+        rest *= 1 - t
+        y = y + mu * d
+        start[k + 1:end[k] + 1] = k + 1
+        end[start[k]:k + 1] = k
+        free = max(free, k + 1)
+    terms.append((rest, vertex))
+    return [(wt, SignedPermutation(*w)) for wt, w in terms]
 
 
 def vertex_lp_membership(x, psi, group: str = "signed") -> bool:

@@ -99,10 +99,11 @@ def test_03_triangle_certification():
             if rep.certificate is not None:
                 target = rep.witness.apply(rep.theta) - rep.phi
                 rec = weyl.reconstruct_certificate(rep.certificate, rep.psi)
-                worst_cert = max(worst_cert, float(np.max(np.abs(rec - target))))
-    ok = worst_slack >= -1e-8 and worst_cert <= 1e-7
+                err = float(np.max(np.abs(rec - target)))
+                worst_cert = max(worst_cert, err / np.max(rep.psi))
+    ok = worst_slack >= -1e-8 and worst_cert <= 1e-12
     _report(3, "triangle certification", ok,
-            f"worst slack {worst_slack:.2e}, worst certificate error {worst_cert:.2e}")
+            f"worst slack {worst_slack:.2e}, worst certificate error {worst_cert:.2e} of max psi")
 
 
 def test_04_metric_axioms():

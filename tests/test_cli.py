@@ -119,6 +119,7 @@ class TestSubcommands:
             assert doc["result"]["best_slack"] >= -1e-8
             weights = [t["weight"] for t in doc["result"]["certificate"]]
             assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+            assert len(weights) <= p + 1
 
     def test_decompose_bistochastic(self, tmp_path, capsys):
         mat = write(tmp_path, "a.txt", "0.5 0.5\n0.5 0.5\n")

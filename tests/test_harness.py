@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from grassgeo import harness
+from grassgeo import harness, metrics, noncompact
 from grassgeo.harness import FuzzReport, TrialConfig
 
 
@@ -91,6 +91,31 @@ class TestRunTrials:
         d1 = json.dumps(harness.run_trials(cfg).to_dict(), sort_keys=True)
         d2 = json.dumps(harness.run_trials(cfg).to_dict(), sort_keys=True)
         assert d1 == d2
+
+    @pytest.mark.parametrize("space", ["grassmann-real", "grassmann-complex", "ball"])
+    def test_metric_triangles_match_the_distances(self, space):
+        # each angle vector is computed once per trial; the margins must equal
+        # those of the public distance functions bit for bit
+        cfg = TrialConfig(space=space, trials=6, seed=9)
+        report = harness.run_trials(cfg)
+        if space == "ball":
+            dist, prefix = noncompact.ball_distance, "ball-"
+
+            def draw(rng):
+                return harness.random_ball_point(cfg.n, rng)
+        else:
+            dist, prefix = metrics.distance, ""
+
+            def draw(rng):
+                return harness.random_subspace(cfg.p, cfg.q, space.split("-")[1], rng)
+
+        for norm in cfg.norm_specs():
+            worst = np.inf
+            for trial in range(cfg.trials):
+                rng = harness.trial_rng(cfg.seed, trial)
+                a, b, c = (draw(rng) for _ in range(3))
+                worst = min(worst, dist(a, b, norm) + dist(b, c, norm) - dist(a, c, norm))
+            assert report.checks[f"{prefix}metric-triangle-{norm.label()}"].worst_slack == worst
 
     def test_wall_time_excluded_from_dict(self):
         cfg = TrialConfig(space="hermitian-lidskii", n=3, trials=2, seed=1)

@@ -265,7 +265,7 @@ class TestTriangleCheck:
             assert rep.certificate is not None
             target = rep.witness.apply(rep.theta) - rep.phi
             rec = weyl.reconstruct_certificate(rep.certificate, rep.psi)
-            assert np.max(np.abs(rec - target)) < 1e-7
+            assert np.max(np.abs(rec - target)) <= 1e-12 * np.max(rep.psi)
 
     def test_large_p_certificates(self, rng):
         for p in (6, 8, 16):
@@ -275,7 +275,7 @@ class TestTriangleCheck:
                 assert rep.inside
                 weights = np.array([wt for wt, _ in rep.certificate])
                 assert np.all(weights >= 0) and abs(weights.sum() - 1) <= 1e-12
-                assert len(weights) <= ((p - 1) ** 2 + 1) * (p + 1)
+                assert len(weights) <= p + 1
                 rec = weyl.reconstruct_certificate(rep.certificate, rep.psi)
                 assert np.max(np.abs(rec - (rep.theta - rep.phi))) <= 1e-12
 
@@ -325,5 +325,5 @@ class TestTriangleCheck:
                 assert rep.inside
                 assert rep.certificate is not None
                 rec = weyl.reconstruct_certificate(rep.certificate, rep.psi)
-                bound = max(0.0, -rep.best_slack) + 1e-10 * np.max(rep.psi)
+                bound = max(0.0, -rep.best_slack) + 1e-12 * np.max(rep.psi)
                 assert np.max(np.abs(rec - (rep.theta - rep.phi))) <= bound

@@ -22,6 +22,22 @@ def max_terms(p):
     return ((p - 1) ** 2 + 1) * (p + 1)
 
 
+def check_certificates(cases, group, p):
+    """Each certificate: weights >= 0 summing to 1, at most p + 1 terms (p for
+    permutations), rebuilding x up to twice its violation of the hull."""
+    for x, psi in cases:
+        res = weyl.orbit_membership(x, psi, group, want_certificate=True)
+        assert res.inside
+        weights = np.array([wt for wt, _ in res.certificate])
+        assert np.all(weights >= 0) and abs(weights.sum() - 1) <= 1e-12
+        assert len(res.certificate) <= p + (group == "signed")
+        if group == "permutation":
+            assert all(w.signs == (1,) * p for _, w in res.certificate)
+        rec = weyl.reconstruct_certificate(res.certificate, psi)
+        bound = 2 * max(0.0, -res.slack) + 1e-12 * np.max(np.abs(psi))
+        assert np.max(np.abs(rec - x)) <= bound
+
+
 def random_bistochastic(rng, p):
     a = np.zeros((p, p))
     for wt in rng.dirichlet(np.ones(int(rng.integers(1, 2 * p + 1)))):
@@ -85,9 +101,10 @@ class TestOrbitMembership:
             res = weyl.orbit_membership(x, psi, "signed", want_certificate=True)
             assert res.inside
             rec = weyl.reconstruct_certificate(res.certificate, psi)
-            assert np.max(np.abs(rec - x)) < 1e-7
+            assert np.max(np.abs(rec - x)) <= 1e-12 * np.max(psi)
             total = sum(wt for wt, _ in res.certificate)
-            assert abs(total - 1) < 1e-9
+            assert abs(total - 1) <= 1e-12
+            assert len(res.certificate) <= p + 1
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 16])
     def test_permutation_certificates(self, rng, p):
@@ -103,16 +120,41 @@ class TestOrbitMembership:
             # outside the hull by at most half the tolerance: inside only by it
             nudge = rng.uniform(-0.5, 0.5, p) * weyl.BOUNDARY_TOL / p
             cases.append((random_bistochastic(rng, p) @ psi + nudge, psi))
-        for x, psi in cases:
-            res = weyl.orbit_membership(x, psi, "permutation", want_certificate=True)
-            assert res.inside
-            weights = np.array([wt for wt, _ in res.certificate])
-            assert np.all(weights >= 0) and abs(weights.sum() - 1) <= 1e-12
-            assert len(res.certificate) <= max_terms(p)
-            assert all(w.signs == (1,) * p for _, w in res.certificate)
-            rec = weyl.reconstruct_certificate(res.certificate, psi)
-            bound = 2 * max(0.0, -res.slack) + 1e-12 * np.max(np.abs(psi))
-            assert np.max(np.abs(rec - x)) <= bound
+        check_certificates(cases, "permutation", p)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 16])
+    def test_signed_certificates(self, rng, p):
+        def signs():
+            return rng.choice([-1.0, 1.0], p)
+
+        cases = []
+        for _ in range(10):
+            psi = np.abs(rng.standard_normal(p))
+            tied, zeros = psi.copy(), psi.copy()
+            tied[rng.choice(p, size=(p + 1) // 2, replace=False)] = psi[0]
+            zeros[rng.choice(p, size=(p + 1) // 2, replace=False)] = 0.0
+            for base in (psi, tied, zeros):
+                cases.append((signs() * (random_bistochastic(rng, p) @ base), base))
+            cases.append((np.zeros(p), psi))
+            vertex = signs() * psi[rng.permutation(p)]
+            cases.append((vertex, psi))
+            mixture = sum(wt * signs() * (random_bistochastic(rng, p) @ psi)
+                          for wt in rng.dirichlet(np.ones(3)))
+            cases.append((mixture, psi))
+            # outside the hull by half the tolerance: inside only by it
+            cases.append((vertex * (1 + 0.5 * weyl.BOUNDARY_TOL / psi.sum()), psi))
+            nudge = rng.uniform(-0.5, 0.5, p) * weyl.BOUNDARY_TOL / p
+            cases.append((signs() * (random_bistochastic(rng, p) @ psi) + nudge, psi))
+        check_certificates(cases, "signed", p)
+
+    @pytest.mark.parametrize("group", ["signed", "permutation"])
+    def test_reversed_vertex_trap(self, group):
+        # starting from psi in x's own order, growth is -0.4 and no facet
+        # bounds the step; the reversed vertex needs two terms
+        res = weyl.orbit_membership([0.6, 0.4], [1.0, 0.0], group, want_certificate=True)
+        assert [wt for wt, _ in res.certificate] == pytest.approx([0.4, 0.6])
+        assert [w.perm for _, w in res.certificate] == [(1, 0), (0, 1)]
+        assert all(w.signs == (1, 1) for _, w in res.certificate)
 
     def test_negative_psi_rejected_for_signed(self):
         with pytest.raises(ValueError):
