@@ -14,7 +14,7 @@ from .errors import (  # noqa: F401
     NotPositiveDefiniteError,
     RankDeficiencyError,
 )
-from .kernel import SvdResult, cholesky, eig_hermitian, inv_sqrt_psd, qr_orthonormalize, svd  # noqa: F401
+from .kernel import SvdResult, cholesky, eig_hermitian, inv_sqrt_psd, qr_orthonormalize, singular_values, svd  # noqa: F401
 from .metrics import (  # noqa: F401
     HCurve,
     NormSpec,

@@ -1,11 +1,11 @@
 """Dense linear-algebra substrate.
 
-Thin wrappers over LAPACK (through numpy.linalg) for the small-matrix
-factorizations every other module uses: thin SVD, Hermitian
-eigendecomposition, inverse square root of a positive definite matrix and
-QR-based orthonormalization, plus a Cholesky factorization that reports the
-failing pivot.  The wrappers validate their input, return spectra sorted
-decreasing, and raise the package's typed errors; a LAPACK convergence
+Thin wrappers over LAPACK for the small-matrix factorizations every other
+module uses: thin SVD or singular values alone, Hermitian eigensystem,
+inverse square root of a positive definite matrix, QR orthonormalization and
+a Cholesky factorization (potrf) that reports the failing pivot.  Each forms
+only what its callers read, validates its input, returns spectra sorted
+decreasing and raises the package's typed errors; a LAPACK convergence
 failure surfaces as ConvergenceError.  Accuracy for small Jordan angles
 comes from the sine route in `subspaces`, not from the solver.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConvergenceError,
@@ -69,15 +70,20 @@ def svd(a: np.ndarray) -> SvdResult:
     converge.
     """
     a = _check_finite(a)
-    m, n = a.shape
-    if m < n:
-        res = svd(a.conj().T)
-        return SvdResult(res.right, res.singular_values, res.left)
     try:
         u, sigma, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"SVD did not converge for a {m}x{n} matrix") from exc
+        raise ConvergenceError(f"SVD did not converge for shape {a.shape}") from exc
     return SvdResult(u, sigma, vh.conj().T)
+
+
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of `a`, sorted decreasing, without the frames."""
+    a = _check_finite(a)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge for shape {a.shape}") from exc
 
 
 def eig_hermitian(a: np.ndarray):
@@ -99,23 +105,20 @@ def eig_hermitian(a: np.ndarray):
 def cholesky(a: np.ndarray):
     """Upper-triangular R with A = R* R for Hermitian positive definite A.
 
-    Raises NotPositiveDefiniteError (with the pivot index) when a pivot
-    drops to PIVOT_TOL times the largest diagonal entry (at least 1) or
-    below.
+    Reads the upper triangle.  Raises NotPositiveDefiniteError (with the
+    pivot index) when a pivot r_jj^2 drops to PIVOT_TOL times the largest
+    diagonal entry of A or below, a test invariant under scaling.
     """
     a = _check_hermitian(a)
-    n = a.shape[0]
-    scale = max(np.max(np.abs(np.diag(a)).astype(float)), 1.0)
-    r = np.zeros_like(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    for j in range(n):
-        pivot = np.real(a[j, j]) - np.real(np.vdot(r[:j, j], r[:j, j]))
-        if pivot <= PIVOT_TOL * scale:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite (pivot {j} = {pivot:.3e})", pivot=j
-            )
-        r[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            r[j, j + 1:] = (a[j, j + 1:] - r[:j, j].conj() @ r[:j, j + 1:]) / r[j, j]
+    a = a.astype(np.result_type(a, np.float64), copy=False)
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    r, info = potrf(a, lower=False, clean=True)
+    # LAPACK stops at pivot info - 1, the first that is not positive
+    pivots = np.diagonal(r)[:info - 1 if info else None].real ** 2
+    small = np.flatnonzero(pivots <= PIVOT_TOL * np.max(np.abs(np.diagonal(a))))
+    j = int(small[0]) if small.size else info - 1
+    if j >= 0:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite (pivot {j})", pivot=j)
     return r
 
 
@@ -141,9 +144,9 @@ def qr_orthonormalize(a: np.ndarray) -> np.ndarray:
     if m < n:
         raise DimensionMismatchError(f"need at least as many rows as columns, got {m}x{n}")
     q, r = np.linalg.qr(a)
-    sigma = svd(r).singular_values
+    sigma = singular_values(r)
     if sigma[0] == 0.0 or sigma[-1] <= RANK_THRESHOLD * sigma[0]:
-        rank = int(np.sum(sigma > RANK_THRESHOLD * max(sigma[0], 1.0)))
+        rank = int(np.sum(sigma > RANK_THRESHOLD * sigma[0]))
         raise RankDeficiencyError(
             f"matrix is numerically rank deficient (rank {rank} < {n})", detected_rank=rank
         )

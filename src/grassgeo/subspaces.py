@@ -178,12 +178,12 @@ def jordan_angles(left: Subspace, right: Subspace) -> np.ndarray:
     """
     _check_pair(left, right)
     cross = left.frame.conj().T @ right.frame
-    cosines = kernel.svd(cross).singular_values
+    cosines = kernel.singular_values(cross)
     k = _sine_count(cosines)
     if k == 0:
         return _angles_from_cosines(cosines)
     # sines sorted increasing pair with cosines sorted decreasing
-    sines = np.linalg.svd(right.frame - left.frame @ cross, compute_uv=False)[::-1]
+    sines = kernel.singular_values(right.frame - left.frame @ cross)[::-1]
     return _sine_cosine_angles(cosines, sines, k)
 
 
@@ -210,8 +210,7 @@ def angles_from_gram(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     # the cosines
     x = np.linalg.solve(ru.conj().T, w)
     b = np.linalg.solve(rv.conj().T, x.conj().T).conj().T
-    sigma = kernel.svd(b).singular_values
-    return _angles_from_cosines(sigma)
+    return _angles_from_cosines(kernel.singular_values(b))
 
 
 def projector_angles(left: Subspace, right: Subspace) -> np.ndarray:
@@ -222,8 +221,7 @@ def projector_angles(left: Subspace, right: Subspace) -> np.ndarray:
     """
     _check_pair(left, right)
     compression = right.frame.conj().T @ (right.projector() @ left.frame)
-    sigma = kernel.svd(compression).singular_values
-    return _angles_from_cosines(sigma)
+    return _angles_from_cosines(kernel.singular_values(compression))
 
 
 def principal_vectors(left: Subspace, right: Subspace) -> PrincipalPair:
@@ -240,12 +238,12 @@ def principal_vectors(left: Subspace, right: Subspace) -> PrincipalPair:
     """
     _check_pair(left, right)
     cross = left.frame.conj().T @ right.frame
-    cosines = kernel.svd(cross).singular_values
+    cosines = kernel.singular_values(cross)
     k = _sine_count(cosines)
     residual = right.frame - left.frame @ cross
-    y, sines, zh = np.linalg.svd(residual, full_matrices=False)
+    res = kernel.svd(residual)
     # sines sorted increasing pair with cosines sorted decreasing
-    y, sines, z = y[:, ::-1], sines[::-1], zh[::-1].conj().T
+    y, sines, z = res.left[:, ::-1], res.singular_values[::-1], res.right[:, ::-1]
     angles = _sine_cosine_angles(cosines, sines, k)
     large = kernel.svd(cross @ z[:, k:])
     v = z[:, k:] @ large.right
@@ -289,8 +287,7 @@ def minimax_probe(
         # for unit v in P, max over unit w in M of <v, w> is |proj_M v|;
         # minimizing over the unit sphere of P gives the smallest singular
         # value of the compression
-        sig = kernel.svd(right.frame.conj().T @ p_frame).singular_values
-        return float(sig[-1])
+        return float(kernel.singular_values(right.frame.conj().T @ p_frame)[-1])
 
     certified = inner_value(pair.e_basis[:, :k])
     lam_k = float(pair.cosines[k - 1])
@@ -306,8 +303,7 @@ def minimax_probe(
 
 def tangent_invariants(h: TangentVector) -> np.ndarray:
     """Singular values of the tangent operator, sorted increasing, >= 0."""
-    sigma = kernel.svd(h.matrix).singular_values
-    return sigma[::-1].copy()
+    return kernel.singular_values(h.matrix)[::-1].copy()
 
 
 def geodesic_transport(base: Subspace, h: TangentVector, eps: float) -> Subspace:

@@ -324,5 +324,5 @@ def fan_ky_diagonal_check(a: np.ndarray, boundary_tol: float = BOUNDARY_TOL) -> 
     if p > q:
         raise DimensionMismatchError(f"expected p <= q, got {a.shape}")
     diag = np.diagonal(a).copy()
-    sigma = kernel.svd(a).singular_values[:p]
+    sigma = kernel.singular_values(a)[:p]
     return orbit_membership(diag, sigma, "signed", boundary_tol=boundary_tol)

@@ -33,14 +33,20 @@ class TestSvd:
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_random_sizes_residuals_and_frames(self, rng, cplx):
-        for _ in range(20):
-            m, n = rng.integers(1, 13, size=2)
-            a = random_matrix(rng, (m, n), cplx)
-            res = kernel.svd(a)
-            k = res.singular_values.size
-            assert np.linalg.norm(res.reconstruct() - a) <= 1e-12 * max(np.linalg.norm(a), 1)
-            assert np.linalg.norm(res.left.conj().T @ res.left - np.eye(k)) <= 1e-12 * m
-            assert np.linalg.norm(res.right.conj().T @ res.right - np.eye(k)) <= 1e-12 * n
+        for _ in range(10):
+            size = rng.integers(1, 13, size=2)
+            # each draw both tall (or square) and wide
+            for m, n in (sorted(size, reverse=True), sorted(size)):
+                a = random_matrix(rng, (m, n), cplx)
+                res = kernel.svd(a)
+                k = res.singular_values.size
+                scale = max(np.linalg.norm(a), 1)
+                assert np.linalg.norm(res.reconstruct() - a) <= 1e-12 * scale
+                assert np.linalg.norm(res.left.conj().T @ res.left - np.eye(k)) <= 1e-12 * m
+                assert np.linalg.norm(res.right.conj().T @ res.right - np.eye(k)) <= 1e-12 * n
+                sigma = kernel.singular_values(a)
+                assert sigma.shape == (k,)
+                assert np.max(np.abs(sigma - res.singular_values)) <= 1e-12 * scale
 
     def test_wide_matrix(self, rng):
         a = random_matrix(rng, (3, 7), True)
@@ -60,9 +66,10 @@ class TestSvd:
         lam, _ = kernel.eig_hermitian(a.conj().T @ a)
         assert np.allclose(sigma, np.sqrt(np.clip(lam, 0, None)), atol=1e-10)
 
-    def test_rejects_nan(self):
+    @pytest.mark.parametrize("fn", [kernel.svd, kernel.singular_values], ids=lambda fn: fn.__name__)
+    def test_rejects_nan(self, fn):
         with pytest.raises(ValueError):
-            kernel.svd(np.array([[1.0, np.nan]]))
+            fn(np.array([[1.0, np.nan]]))
 
 
 class TestEigHermitian:
@@ -93,6 +100,8 @@ class TestCholesky:
 
     def test_diagonal(self):
         assert np.allclose(kernel.cholesky(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        # integer input is factored in double precision
+        assert np.array_equal(kernel.cholesky(np.array([[4, 2], [2, 5]])), [[2.0, 1.0], [0.0, 2.0]])
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_reconstruction(self, rng, cplx):
@@ -105,6 +114,24 @@ class TestCholesky:
     def test_not_posdef_reports_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
             kernel.cholesky(np.diag([1.0, -1.0, 2.0]))
+        assert exc.value.pivot == 1
+        # a positive pivot at PIVOT_TOL of the largest diagonal entry or
+        # below fails too, ahead of a later nonpositive one
+        for diag, pivot in (([1.0, 1e-15], 1), ([1e-15, 1.0, -1.0], 0)):
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                kernel.cholesky(np.diag(diag))
+            assert exc.value.pivot == pivot
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_scale_invariance(self, rng, cplx):
+        b = random_matrix(rng, (5, 5), cplx)
+        a = b.conj().T @ b + np.eye(5)
+        r = kernel.cholesky(a)
+        for c in (1e-20, 1e20):
+            err = np.linalg.norm(kernel.cholesky(c * a) - np.sqrt(c) * r)
+            assert err <= 1e-13 * np.sqrt(c) * np.linalg.norm(r)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            kernel.cholesky(1e-20 * np.diag([1.0, 1e-15]))
         assert exc.value.pivot == 1
 
 
@@ -148,6 +175,8 @@ class TestQrOrthonormalize:
 
     def test_rank_deficiency(self, rng):
         a = random_matrix(rng, (5, 2))
-        with pytest.raises(RankDeficiencyError) as exc:
-            kernel.qr_orthonormalize(np.hstack([a, a[:, :1]]))
-        assert exc.value.detected_rank == 2
+        # the rank count is relative, like the check: scaling changes neither
+        for c in (1.0, 1e-12, 1e12):
+            with pytest.raises(RankDeficiencyError) as exc:
+                kernel.qr_orthonormalize(c * np.hstack([a, a[:, :1]]))
+            assert exc.value.detected_rank == 2

@@ -10,6 +10,7 @@ from grassgeo.harness import (
     random_ball_point,
     random_hermitian,
     random_posdef,
+    random_rotation,
 )
 from grassgeo.metrics import NormSpec
 from grassgeo.noncompact import BallPoint, PosDefPoint
@@ -25,6 +26,18 @@ class TestPosDefPoint:
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(ValueError):
             PosDefPoint(random_matrix(rng, (3, 3)) + 5 * np.eye(3))
+
+    def test_factor(self, rng):
+        a = random_posdef(4, "complex", rng)
+        r = a.factor
+        assert np.allclose(np.tril(r, -1), 0)
+        assert np.linalg.norm(r.conj().T @ r - a.matrix) <= 1e-13 * np.linalg.norm(a.matrix)
+
+    def test_positive_definiteness_is_scale_invariant(self):
+        for c in (1e-20, 1.0, 1e20):
+            PosDefPoint(c * np.eye(2))
+            with pytest.raises(NotPositiveDefiniteError):
+                PosDefPoint(c * np.diag([1.0, 1e-15]))
 
 
 class TestPosDefAngles:
@@ -70,6 +83,31 @@ class TestPosDefAngles:
     def test_size_mismatch(self, rng):
         with pytest.raises(DimensionMismatchError):
             nc.posdef_angles(random_posdef(2, "real", rng), random_posdef(3, "real", rng))
+
+    def test_scale_invariance(self, rng):
+        for _ in range(10):
+            a = random_posdef(4, "complex", rng)
+            b = random_posdef(4, "complex", rng)
+            ang = nc.posdef_angles(a, b)
+            for c in (1e-20, 1e20):
+                scaled = nc.posdef_angles(PosDefPoint(c * a.matrix), PosDefPoint(c * b.matrix))
+                assert np.allclose(scaled, ang, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_accuracy_at_the_edge(self, rng, field):
+        # a = Q diag(10^alpha) Q*, b = Q diag(10^beta) Q*: the generalized
+        # eigenvalues are 10^(alpha - beta) exactly, with condition numbers
+        # of a and b up to 1e8
+        worst = 0.0
+        for _ in range(150):
+            n = int(rng.integers(2, 9))
+            q = random_rotation(n, field, rng)
+            alpha, beta = rng.uniform(-8.0, 0.0, (2, n))
+            a = PosDefPoint((q * 10.0**alpha) @ q.conj().T)
+            b = PosDefPoint((q * 10.0**beta) @ q.conj().T)
+            exact = np.sort((alpha - beta) * np.log(10.0))[::-1]
+            worst = max(worst, np.max(np.abs(nc.posdef_angles(a, b) - exact)))
+        assert worst <= 1e-7
 
 
 class TestPosDefTriangle:

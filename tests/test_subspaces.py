@@ -86,6 +86,9 @@ class TestAngleRoutes:
         c = np.diag([2.0, 0.5, 7.0])
         ang2 = sub.angles_from_gram(c @ u @ c, v, c @ w)
         assert np.allclose(ang, ang2, atol=1e-9)
+        # bases of norm 1e-8: Gram matrices near 1e-16 are not degenerate
+        ang3 = sub.angles_from_gram(1e-16 * u, 1e-16 * v, 1e-16 * w)
+        assert np.allclose(ang, ang3, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_three_routes_agree(self, rng, cplx):
