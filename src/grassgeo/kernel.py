@@ -45,7 +45,7 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
     n, nc = a.shape
     if n != nc:
         raise DimensionMismatchError(f"expected square matrix, got {n}x{nc}")
-    if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1.0):
+    if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * np.linalg.norm(a):
         raise DimensionMismatchError("matrix is not Hermitian within tolerance")
     return a
 

@@ -50,7 +50,7 @@ class BallPoint:
         t = np.asarray(self.matrix, dtype=complex)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got {t.shape}")
-        if np.linalg.norm(t - t.T) > kernel.HERMITIAN_TOL * max(np.linalg.norm(t), 1.0):
+        if np.linalg.norm(t - t.T) > kernel.HERMITIAN_TOL * np.linalg.norm(t):
             raise ValueError("matrix is not symmetric (T = T^t) within tolerance")
         top = kernel.singular_values(t)[0]
         if top > 1.0 - BALL_NORM_MARGIN:
@@ -114,15 +114,24 @@ def lidskii_check(
     return weyl.orbit_membership(lam_xz - lam_x, lam_z, "permutation", boundary_tol=boundary_tol)
 
 
+def _inv_sqrt_defect(gram: np.ndarray) -> np.ndarray:
+    """(1 - G)^(-1/2) for a Gram matrix G of a ball point.
+
+    The rounding of G is absolute, about eps * |G|, so near the boundary,
+    where 1 - G is small, it is not Hermitian within a relative tolerance;
+    its Hermitian part is taken first.
+    """
+    d = np.eye(gram.shape[0]) - gram
+    return kernel.inv_sqrt_psd((d + d.conj().T) / 2.0)
+
+
 def cross_ratio_matrix(t: BallPoint, s: BallPoint) -> np.ndarray:
     """(1 - T T*)^(-1/2) (1 - T S) (1 - S S*)^(-1/2)."""
     _check_same_size(t, s)
-    n = t.size
-    eye = np.eye(n)
     tm, sm = t.matrix, s.matrix
-    left = kernel.inv_sqrt_psd(eye - tm @ tm.conj().T)
-    right = kernel.inv_sqrt_psd(eye - sm @ sm.conj().T)
-    return left @ (eye - tm @ np.conj(sm)) @ right
+    left = _inv_sqrt_defect(tm @ tm.conj().T)
+    right = _inv_sqrt_defect(sm @ sm.conj().T)
+    return left @ (np.eye(t.size) - tm @ np.conj(sm)) @ right
 
 
 def ball_angles(t: BallPoint, s: BallPoint) -> np.ndarray:
@@ -134,10 +143,9 @@ def ball_angles(t: BallPoint, s: BallPoint) -> np.ndarray:
     of the singular values of D, accurate for nearby points and 0 at T = S.
     """
     _check_same_size(t, s)
-    eye = np.eye(t.size)
     tm, sm = t.matrix, s.matrix
-    left = kernel.inv_sqrt_psd(eye - tm @ tm.conj().T)
-    right = kernel.inv_sqrt_psd(eye - sm.conj().T @ sm)
+    left = _inv_sqrt_defect(tm @ tm.conj().T)
+    right = _inv_sqrt_defect(sm.conj().T @ sm)
     sigma = kernel.singular_values(left @ (tm - sm) @ right)
     return np.arcsinh(sigma)[::-1].copy()
 

@@ -43,10 +43,10 @@ class SignedPermutation:
         p = len(self.perm)
         if sorted(self.perm) != list(range(p)):
             raise ValueError(f"not a permutation of 0..{p - 1}: {self.perm}")
-        if len(self.signs) != p or any(s not in (-1, 1) for s in self.signs):
+        if len(self.signs) != p or not set(self.signs) <= {1, -1}:
             raise ValueError(f"signs must be +/-1 of length {p}: {self.signs}")
-        object.__setattr__(self, "perm", tuple(int(i) for i in self.perm))
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
+        object.__setattr__(self, "perm", tuple(map(int, self.perm)))
+        object.__setattr__(self, "signs", tuple(map(int, self.signs)))
 
     @property
     def size(self) -> int:
@@ -63,8 +63,7 @@ class SignedPermutation:
     def matrix(self) -> np.ndarray:
         p = self.size
         m = np.zeros((p, p))
-        for i in range(p):
-            m[i, self.perm[i]] = self.signs[i]
+        m[np.arange(p), self.perm] = self.signs
         return m
 
 
@@ -172,41 +171,44 @@ def _face_walk(x: np.ndarray, psi: np.ndarray, signed: bool):
     y = t v + (1 - t) y' with t = mu / (1 + mu) and that run splits.  Each
     step splits a run: at most p + 1 terms (p for permutations).  Negative
     gaps, left by a boundary tolerance, count as tight.
+
+    Only the sorts use numpy; the walk runs on Python lists, because at the
+    sizes served (p <= 16 or so) a numpy call costs more than the arithmetic
+    of a whole step.  Prefix sums are sequential, as `np.cumsum`'s are.
     """
     p = len(x)
     sx = np.where(x < 0, -1, 1) if signed else np.ones(p, dtype=int)
     ix = np.argsort(-sx * x, kind="stable")
     ip = np.argsort(-psi, kind="stable")
-    inv = np.argsort(ix)
-    y, ps = (sx * x)[ix], psi[ip]
-    idx = np.arange(p)
-    start, end = np.zeros(p, dtype=int), np.full(p, p - 1)  # bounds of each run
+    inv = np.argsort(ix).tolist()
+    y, ps = (sx * x)[ix].tolist(), psi[ip].tolist()
+    ip, sx = ip.tolist(), sx.tolist()
+    start, end = [0] * p, [p - 1] * p  # bounds of each run
     free = 0 if signed else p
     terms, rest = [], 1.0
     while True:
-        closed = idx < free
-        perm = np.where(closed, start + end - idx, idx)
-        sign = np.where(closed, 1, -1)
-        vertex = (ip[perm][inv].tolist(), (sx * sign[inv]).tolist())
-        d = y - sign * ps[perm]
+        perm = [start[i] + end[i] - i if i < free else i for i in range(p)]
+        vertex = ([ip[perm[i]] for i in inv], [s if i < free else -s for s, i in zip(sx, inv)])
+        d = [y[i] - ps[j] if i < free else y[i] + ps[j] for i, j in enumerate(perm)]
+        g = [b - a for a, b in zip(y, ps)]
         # growth and gap of every prefix sum inside its run
-        a = np.stack([d, ps - y])
-        c = np.cumsum(a, axis=1)
-        growth, gap = c - (c - a)[:, start]
-        grows = (growth > 0) & ((end > idx) | ~closed)
-        if not grows.any():
+        cd, cg = list(itertools.accumulate(d)), list(itertools.accumulate(g))
+        k, mu = -1, np.inf
+        for i, s in enumerate(start):
+            growth = cd[i] - (cd[s] - d[s])
+            if growth > 0 and (end[i] > i or i >= free):
+                ratio = max(cg[i] - (cg[s] - g[s]), 0.0) / growth
+                if ratio < mu:
+                    k, mu = i, ratio
+        if k < 0:
             break
-        ratio = np.full(p, np.inf)
-        ratio[grows] = np.maximum(gap[grows], 0) / growth[grows]
-        k = int(np.argmin(ratio))
-        mu = float(ratio[k])
         t = mu / (1 + mu)
         if t > 0:
             terms.append((rest * t, vertex))
         rest *= 1 - t
-        y = y + mu * d
-        start[k + 1:end[k] + 1] = k + 1
-        end[start[k]:k + 1] = k
+        y = [a + mu * b for a, b in zip(y, d)]
+        start[k + 1:end[k] + 1] = [k + 1] * (end[k] - k)
+        end[start[k]:k + 1] = [k] * (k + 1 - start[k])
         free = max(free, k + 1)
     terms.append((rest, vertex))
     return [(wt, SignedPermutation(*w)) for wt, w in terms]
@@ -254,7 +256,9 @@ def birkhoff_decompose(a: np.ndarray, tol: float = 1e-9):
     Returns a list of (weight, SignedPermutation with all-plus signs); at
     most (p-1)^2 + 1 terms.  The standard constructive proof: repeatedly
     find a perfect matching on the positive support and subtract the
-    smallest matched entry.
+    smallest matched entry.  Each step empties at least one entry, so the
+    term count is set by the support of `a`: a matching chosen otherwise
+    (max-sum, bottleneck) saves few terms and costs more per step.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -266,13 +270,13 @@ def birkhoff_decompose(a: np.ndarray, tol: float = 1e-9):
     terms = []
     for _ in range((p - 1) ** 2 + 1):
         # entries below 1e-14 are rounding left by earlier subtractions
-        support = rem > 1e-14
-        _, match = linear_sum_assignment(support, maximize=True)
-        if not support[rows, match].all():
+        _, match = linear_sum_assignment(rem > 1e-14, maximize=True)
+        vals = rem[rows, match]
+        weight = vals.min()
+        if not weight > 1e-14:  # the matching leaves the support
             break
-        weight = float(rem[rows, match].min())
-        rem[rows, match] -= weight
-        terms.append((weight, SignedPermutation(match, (1,) * p)))
+        rem[rows, match] = vals - weight
+        terms.append((float(weight), SignedPermutation(match.tolist(), (1,) * p)))
     return terms
 
 
@@ -306,12 +310,12 @@ def quasistochastic_decompose(a: np.ndarray, tol: float = 1e-12):
     terms = []
     idx = np.arange(p)
     for weight, w in birkhoff_decompose(b):
-        match = list(w.perm)
+        match = w.perm
         u = (1 + np.clip(a[idx, match] / b[idx, match], -1, 1)) / 2
         cuts = np.unique(np.concatenate([[0.0], u, [1.0]]))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            signs = np.where(u > lo, 1, -1)
-            terms.append((weight * float(hi - lo), SignedPermutation(match, signs)))
+        signs = np.where(u > cuts[:-1, None], 1, -1).tolist()
+        weights = (weight * np.diff(cuts)).tolist()
+        terms += [(wt, SignedPermutation(match, s)) for wt, s in zip(weights, signs)]
     return terms
 
 

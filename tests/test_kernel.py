@@ -93,6 +93,14 @@ class TestEigHermitian:
         with pytest.raises(DimensionMismatchError):
             kernel.eig_hermitian(random_matrix(rng, (4, 4)))
 
+    def test_hermitian_check_is_relative(self, rng):
+        a = random_matrix(rng, (4, 4), True)
+        with pytest.raises(DimensionMismatchError):
+            kernel.eig_hermitian(1e-12 * a)
+        h = a + a.conj().T
+        lam, _ = kernel.eig_hermitian(1e-20 * h)
+        assert np.max(np.abs(1e20 * lam - kernel.eig_hermitian(h)[0])) <= 1e-12 * np.linalg.norm(h)
+
 
 class TestCholesky:
     def test_identity(self):

@@ -39,6 +39,13 @@ class TestPosDefPoint:
             with pytest.raises(NotPositiveDefiniteError):
                 PosDefPoint(c * np.diag([1.0, 1e-15]))
 
+    def test_hermitian_check_is_relative_below_norm_one(self, rng):
+        skew = 1e-12 * np.array([[1.0, 0.5], [-0.5, 1.0]])
+        with pytest.raises(DimensionMismatchError):
+            nc.posdef_angles(PosDefPoint(skew), PosDefPoint(1e-12 * np.array([[1.0, 0.5], [0.5, 1.0]])))
+        a = random_posdef(3, "complex", rng).matrix
+        assert PosDefPoint(1e-20 * a).factor is not None
+
 
 class TestPosDefAngles:
     def test_identity_pair(self):
@@ -159,6 +166,12 @@ class TestBallPoint:
         with pytest.raises(ValueError, match="symmetric"):
             BallPoint(t)
 
+    def test_symmetry_check_is_relative_below_norm_one(self, rng):
+        with pytest.raises(ValueError, match="symmetric"):
+            BallPoint(1e-12 * np.array([[0.1, 0.5], [-0.5, 0.1]]))
+        t = random_ball_point(3, rng).matrix
+        assert np.array_equal(BallPoint(1e-20 * t).matrix, 1e-20 * t)
+
 
 class TestBallAngles:
     def test_same_point_zero(self, rng):
@@ -213,6 +226,28 @@ class TestBallAngles:
         tu = BallPoint(u @ t.matrix @ u.T)
         su = BallPoint(u @ s.matrix @ u.T)
         assert np.allclose(nc.ball_angles(t, s), nc.ball_angles(tu, su), atol=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_near_the_boundary(self, rng, n):
+        # T = r Q Q^t, a dense complex symmetric matrix with every singular
+        # value r = 1 - 1e-8: 1 - T T* is about 2e-8, so the rounding of
+        # T T* (about n eps) can leave it non-Hermitian beyond the kernel's
+        # relative tolerance.  Rounding Q Q^t moves the singular values by
+        # about n eps, the defect 1 - r^2 by n eps / 2e-8 relative and each
+        # angle (about 9.5) by half that, absolute: the worst seen over 200
+        # draws per size was 8e-9 relative against artanh r, 4e-10 for
+        # symmetry and the cross-ratio route.
+        r = 1.0 - 1e-8
+        zero = BallPoint(np.zeros((n, n)))
+        for _ in range(5):
+            q, q2 = (random_rotation(n, "complex", rng) for _ in range(2))
+            t, s = BallPoint(r * q @ q.T), BallPoint(r * q2 @ q2.T)
+            assert np.allclose(nc.ball_angles(t, zero), np.arctanh(r), rtol=1e-7, atol=0)
+            ang = nc.ball_angles(t, s)
+            assert np.allclose(nc.ball_angles(s, t), ang, rtol=1e-8, atol=0)
+            sigma = np.linalg.svd(nc.cross_ratio_matrix(t, s), compute_uv=False)
+            assert np.allclose(np.sort(np.arccosh(sigma)), ang, rtol=1e-8, atol=0)
+            assert np.all(nc.ball_angles(t, t) == 0)
 
 
 class TestBallDistance:

@@ -1,11 +1,14 @@
 """The scripts under scripts/ run end to end at tiny trial counts."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from grassgeo import harness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +41,25 @@ def test_triangle_survey(args):
     res = run_script("triangle_survey.py", *args)
     assert res.returncode == 0, res.stdout + res.stderr
     assert "violations: 0" in res.stdout
+
+
+def test_bench_writes_every_row(tmp_path):
+    out = tmp_path / "bench.json"
+    args = ("--out", str(out), "--sizes", "3", "--repeat", "1", "--min-time", "0", "--trials", "2")
+    for column in ("before", "after"):
+        res = run_script("bench.py", *args, "--column", column)
+        assert res.returncode == 0, res.stdout + res.stderr
+    doc = json.loads(out.read_text())
+    assert set(doc["columns"]) == {"before", "after"}
+    col = doc["columns"]["after"]
+    assert set(col) == {"stamp", "settings", "layers_us", "terms", "run_trials_ms_per_trial",
+                        "cli_triangle_certificate_ms"}
+    assert {"sha", "numpy", "scipy", "cpu_count", "blas_threads"} <= set(col["stamp"])
+    assert set(col["layers_us"]) == set(col["terms"]) == {"3"}
+    assert {"kernel.svd", "kernel.eig_hermitian", "kernel.cholesky", "kernel.qr_orthonormalize",
+            "subspaces.jordan_angles", "metrics.hcurve_between", "metrics.hcurve_eval",
+            "weyl.verdict", "weyl.certificate", "weyl.birkhoff_decompose",
+            "weyl.quasistochastic_decompose", "noncompact.posdef_angles",
+            "noncompact.ball_angles"} <= set(col["layers_us"]["3"])
+    assert set(col["terms"]["3"]) == {"certificate", "birkhoff", "quasistochastic"}
+    assert set(col["run_trials_ms_per_trial"]) == set(harness.SPACES)

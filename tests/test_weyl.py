@@ -22,12 +22,57 @@ def max_terms(p):
     return ((p - 1) ** 2 + 1) * (p + 1)
 
 
+def array_face_walk(x, psi, signed):
+    """The face walk in numpy array form, step for step as `weyl._face_walk`
+    with the same floating-point expressions: its certificates must match
+    bit for bit.  Returns [(weight, perm tuple, signs tuple)]."""
+    p = len(x)
+    sx = np.where(x < 0, -1, 1) if signed else np.ones(p, dtype=int)
+    ix = np.argsort(-sx * x, kind="stable")
+    ip = np.argsort(-psi, kind="stable")
+    inv = np.argsort(ix)
+    y, ps = (sx * x)[ix], psi[ip]
+    idx = np.arange(p)
+    start, end = np.zeros(p, dtype=int), np.full(p, p - 1)
+    free = 0 if signed else p
+    terms, rest = [], 1.0
+    while True:
+        closed = idx < free
+        perm = np.where(closed, start + end - idx, idx)
+        sign = np.where(closed, 1, -1)
+        vertex = (tuple(ip[perm][inv].tolist()), tuple((sx * sign[inv]).tolist()))
+        d = y - sign * ps[perm]
+        a = np.stack([d, ps - y])
+        c = np.cumsum(a, axis=1)
+        growth, gap = c - (c - a)[:, start]
+        grows = (growth > 0) & ((end > idx) | ~closed)
+        if not grows.any():
+            break
+        ratio = np.full(p, np.inf)
+        ratio[grows] = np.maximum(gap[grows], 0) / growth[grows]
+        k = int(np.argmin(ratio))
+        mu = float(ratio[k])
+        t = mu / (1 + mu)
+        if t > 0:
+            terms.append((rest * t, *vertex))
+        rest *= 1 - t
+        y = y + mu * d
+        start[k + 1:end[k] + 1] = k + 1
+        end[start[k]:k + 1] = k
+        free = max(free, k + 1)
+    terms.append((rest, *vertex))
+    return terms
+
+
 def check_certificates(cases, group, p):
     """Each certificate: weights >= 0 summing to 1, at most p + 1 terms (p for
-    permutations), rebuilding x up to twice its violation of the hull."""
+    permutations), rebuilding x up to twice its violation of the hull, and
+    identical to the array form of the walk."""
     for x, psi in cases:
         res = weyl.orbit_membership(x, psi, group, want_certificate=True)
         assert res.inside
+        assert [(wt, w.perm, w.signs) for wt, w in res.certificate] == array_face_walk(
+            np.asarray(x, dtype=float), np.asarray(psi, dtype=float), group == "signed")
         weights = np.array([wt for wt, _ in res.certificate])
         assert np.all(weights >= 0) and abs(weights.sum() - 1) <= 1e-12
         assert len(res.certificate) <= p + (group == "signed")
@@ -38,11 +83,24 @@ def check_certificates(cases, group, p):
         assert np.max(np.abs(rec - x)) <= bound
 
 
-def random_bistochastic(rng, p):
+def check_decomposition(terms, a, bound):
+    """Positive weights summing to 1, at most `bound` terms, rebuilding `a`."""
+    weights = np.array([wt for wt, _ in terms])
+    assert np.all(weights > 0) and abs(weights.sum() - 1) <= 1e-12
+    assert len(terms) <= bound
+    assert np.max(np.abs(reconstruct(terms) - a)) <= 1e-12
+
+
+def random_bistochastic_mix(rng, p, k):
+    """Random convex combination of k permutation matrices."""
     a = np.zeros((p, p))
-    for wt in rng.dirichlet(np.ones(int(rng.integers(1, 2 * p + 1)))):
+    for wt in rng.dirichlet(np.ones(k)):
         a += wt * np.eye(p)[rng.permutation(p)]
     return a
+
+
+def random_bistochastic(rng, p):
+    return random_bistochastic_mix(rng, p, int(rng.integers(1, 2 * p + 1)))
 
 
 class TestSignedPermutation:
@@ -52,17 +110,27 @@ class TestSignedPermutation:
         assert np.allclose(w.apply(x), w.matrix() @ x)
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="permutation"):
             weyl.SignedPermutation((0, 0, 1), (1, 1, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="signs"):
             weyl.SignedPermutation((0, 1), (1, 2))
+        with pytest.raises(ValueError, match="signs"):
+            weyl.SignedPermutation((0, 1), (1, 1.5))
+        with pytest.raises(ValueError, match="signs"):
+            weyl.SignedPermutation((0, 1), (1,))
 
     def test_numpy_inputs_are_stored_as_ints(self):
-        w = weyl.SignedPermutation(np.array([1, 0]), np.array([1, -1]))
-        assert w == weyl.SignedPermutation((1, 0), (1, -1))
-        assert hash(w) == hash(weyl.SignedPermutation((1, 0), (1, -1)))
-        assert json.loads(json.dumps(cli._perm_out(w))) == {"perm": [1, 0], "signs": [1, -1]}
-        assert all(type(v) is int for v in w.perm + w.signs)
+        for perm, signs in [
+            (np.array([1, 0]), np.array([1, -1])),
+            (np.array([1.0, 0.0]), np.array([1.0, -1.0])),
+            ([np.int32(1), np.int64(0)], [np.float64(1.0), np.int8(-1)]),
+        ]:
+            w = weyl.SignedPermutation(perm, signs)
+            assert w == weyl.SignedPermutation((1, 0), (1, -1))
+            assert hash(w) == hash(weyl.SignedPermutation((1, 0), (1, -1)))
+            assert json.loads(json.dumps(cli._perm_out(w))) == {"perm": [1, 0], "signs": [1, -1]}
+            assert type(w.perm) is tuple and type(w.signs) is tuple
+            assert all(type(v) is int for v in w.perm + w.signs)
 
     def test_group_sizes(self):
         assert len(weyl.enumerate_group(3, signed=True)) == 48
@@ -223,11 +291,11 @@ class TestBirkhoff:
             wts = rng.dirichlet(np.ones(k))
             for w in wts:
                 a += w * weyl.SignedPermutation(tuple(rng.permutation(p)), (1,) * p).matrix()
-            terms = weyl.birkhoff_decompose(a)
-            assert len(terms) <= (p - 1) ** 2 + 1
-            assert np.max(np.abs(reconstruct(terms) - a)) <= 1e-9
-            assert sum(t[0] for t in terms) == pytest.approx(1.0, abs=1e-9)
-            assert all(t[0] > 0 for t in terms)
+            check_decomposition(weyl.birkhoff_decompose(a), a, (p - 1) ** 2 + 1)
+
+    def test_mix_at_p16(self, rng):
+        a = random_bistochastic_mix(rng, 16, 48)
+        check_decomposition(weyl.birkhoff_decompose(a), a, 15 ** 2 + 1)
 
     def test_rejects_bad_sums(self):
         with pytest.raises(ValueError, match="row-sum"):
@@ -248,16 +316,13 @@ class TestQuasistochastic:
             m = np.abs(w.matrix())
             assert np.allclose(m.sum(axis=0), 1) and np.allclose(m.sum(axis=1), 1)
 
-    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6, 7, 8, 16])
     def test_schur_product_of_orthogonals(self, rng, p):
         for _ in range(8):
             u = random_rotation(p, "real", rng)
             v = random_rotation(p, "real", rng)
             a = u * v
-            terms = weyl.quasistochastic_decompose(a)
-            assert len(terms) <= max_terms(p)
-            assert all(wt >= 0 for wt, _ in terms)
-            assert np.max(np.abs(reconstruct(terms) - a)) <= 1e-9
+            check_decomposition(weyl.quasistochastic_decompose(a), a, max_terms(p))
 
     def test_rejects_excess_row_sum(self):
         with pytest.raises(ValueError, match="quasistochastic"):
