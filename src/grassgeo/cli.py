@@ -22,26 +22,26 @@ from .metrics import NormSpec
 from .noncompact import BallPoint, PosDefPoint
 from .subspaces import Subspace
 
-_FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMERAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_FLOAT = re.compile(rf"[+-]?{_NUMERAL}")
+_COMPLEX = re.compile(rf"(?P<re>{_FLOAT.pattern})(?P<im>[+-]{_NUMERAL})")
 
 
 def _parse_token(tok: str, line: int, column: int):
     """One scalar: real "1.5", imaginary "2i", or full "a+bi"."""
     if tok.endswith("i"):
         body = tok[:-1]
-        m = re.fullmatch(rf"(?P<re>{_FLOAT})(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)", body)
+        m = _COMPLEX.fullmatch(body)
         if m:
             return complex(float(m.group("re")), float(m.group("im")))
-        m = re.fullmatch(_FLOAT, body)
-        if m:
+        if _FLOAT.fullmatch(body):
             return complex(0.0, float(body))
         raise MatrixParseError(
             f"malformed complex entry {tok!r} at line {line}, column {column}",
             line=line,
             column=column,
         )
-    m = re.fullmatch(_FLOAT, tok)
-    if m:
+    if _FLOAT.fullmatch(tok):
         return float(tok)
     raise MatrixParseError(
         f"malformed numeral {tok!r} at line {line}, column {column}", line=line, column=column
@@ -96,6 +96,10 @@ def _load_matrix(path: str) -> np.ndarray:
         return parse_matrix(fh.read())
 
 
+def _load_subspace(path: str) -> Subspace:
+    return Subspace.from_spanning(_load_matrix(path))
+
+
 def _round_sig(x: float, digits: int = 12) -> float:
     return float(f"{float(x):.{digits}g}")
 
@@ -123,54 +127,51 @@ def _build_parser() -> argparse.ArgumentParser:
                              "or check tolerance for fuzz (default 1e-8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, **kwargs)
-
-    p = add("angles", help="Jordan angles between the spans of two matrices")
+    p = sub.add_parser("angles", help="Jordan angles between the spans of two matrices")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--degrees", action="store_true", help="display in degrees")
 
-    p = add("distance", help="invariant distance between two subspaces")
+    p = sub.add_parser("distance", help="invariant distance between two subspaces")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--norm", default="l2", help="l1, l2, linf or kyfanK (default l2)")
 
-    p = add("geodesic", help="joining curve between two subspaces")
+    p = sub.add_parser("geodesic", help="joining curve between two subspaces")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--at", type=float, action="append",
                    help="curve parameter(s) to evaluate (repeatable)")
     p.add_argument("--samples", type=int, help="evaluate at this many uniform parameters")
 
-    p = add("triangle", help="triangle certification for three subspaces")
+    p = sub.add_parser("triangle", help="triangle certification for three subspaces")
     p.add_argument("--l", required=True)
     p.add_argument("--m", required=True)
     p.add_argument("--n", required=True)
     p.add_argument("--certificate", action="store_true")
 
-    p = add("decompose", help="convex decomposition of a (quasi)stochastic matrix")
+    p = sub.add_parser("decompose", help="convex decomposition of a (quasi)stochastic matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--signed", action="store_true",
                    help="signed decomposition of a quasistochastic matrix")
 
-    p = add("fan-ky", help="diagonal vs singular values orbit membership")
+    p = sub.add_parser("fan-ky", help="diagonal vs singular values orbit membership")
     p.add_argument("--matrix", required=True)
 
-    p = add("posdef-angles", help="hyperbolic angles between positive definite matrices")
+    p = sub.add_parser("posdef-angles", help="hyperbolic angles between positive definite matrices")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
 
-    p = add("lidskii", help="eigenvalue-shift membership for Hermitian matrices")
+    p = sub.add_parser("lidskii", help="eigenvalue-shift membership for Hermitian matrices")
     p.add_argument("--x", required=True)
     p.add_argument("--z", required=True)
 
-    p = add("ball-angles", help="hyperbolic angles on the symmetric operator ball")
+    p = sub.add_parser("ball-angles", help="hyperbolic angles on the symmetric operator ball")
     p.add_argument("--t", required=True)
     p.add_argument("--s", required=True)
     p.add_argument("--norm", help="also report the distance under this norm")
 
-    p = add("fuzz", help="seeded property-check trials")
+    p = sub.add_parser("fuzz", help="seeded property-check trials")
     p.add_argument("--space", required=True, choices=harness.SPACES)
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--q", type=int, default=4)
@@ -182,29 +183,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> tuple[int, dict, dict]:
-    """Execute one subcommand; returns (exit code, result, tolerances)."""
-    tolerances = {"boundary": args.tol}
+# argparse parsers keep no state between parse_args calls, so one serves every call
+_PARSER = _build_parser()
+
+
+def _run(args) -> tuple[int, dict]:
+    """Execute one subcommand; returns (exit code, result)."""
     cmd = args.command
 
     if cmd == "angles":
-        l = Subspace.from_spanning(_load_matrix(args.left))
-        r = Subspace.from_spanning(_load_matrix(args.right))
+        l = _load_subspace(args.left)
+        r = _load_subspace(args.right)
         ang = subspaces.jordan_angles(l, r)
         result = {"angles": _angles_out(ang, args.degrees)}
         if args.degrees:
             result["unit"] = "degrees"
-        return 0, result, tolerances
+        return 0, result
 
     if cmd == "distance":
-        l = Subspace.from_spanning(_load_matrix(args.left))
-        r = Subspace.from_spanning(_load_matrix(args.right))
+        l = _load_subspace(args.left)
+        r = _load_subspace(args.right)
         norm = NormSpec.builtin(args.norm)
-        return 0, {"norm": norm.label(), "distance": metrics.distance(l, r, norm)}, tolerances
+        return 0, {"norm": norm.label(), "distance": metrics.distance(l, r, norm)}
 
     if cmd == "geodesic":
-        l = Subspace.from_spanning(_load_matrix(args.left))
-        r = Subspace.from_spanning(_load_matrix(args.right))
+        l = _load_subspace(args.left)
+        r = _load_subspace(args.right)
         curve = metrics.hcurve_between(l, r)
         params = list(args.at or [])
         if args.samples:
@@ -214,12 +218,12 @@ def _run(args) -> tuple[int, dict, dict]:
             for s in params
         ]
         result = {"invariants": _angles_out(curve.a), "points": points}
-        return 0, result, tolerances
+        return 0, result
 
     if cmd == "triangle":
-        l = Subspace.from_spanning(_load_matrix(args.l))
-        m = Subspace.from_spanning(_load_matrix(args.m))
-        n = Subspace.from_spanning(_load_matrix(args.n))
+        l = _load_subspace(args.l)
+        m = _load_subspace(args.m)
+        n = _load_subspace(args.n)
         rep = metrics.triangle_check(l, m, n, want_certificate=args.certificate,
                                      boundary_tol=args.tol)
         result = {
@@ -232,7 +236,7 @@ def _run(args) -> tuple[int, dict, dict]:
         }
         if rep.certificate is not None:
             result["certificate"] = _certificate_out(rep.certificate)
-        return (0 if rep.inside else 1), result, tolerances
+        return (0 if rep.inside else 1), result
 
     if cmd == "decompose":
         a = _load_matrix(args.matrix)
@@ -247,26 +251,26 @@ def _run(args) -> tuple[int, dict, dict]:
             "terms": _certificate_out(terms),
             "reconstruction_error": err,
         }
-        return (0 if err <= 1e-9 else 1), result, tolerances
+        return (0 if err <= 1e-9 else 1), result
 
     if cmd == "fan-ky":
         a = _load_matrix(args.matrix)
         res = weyl.fan_ky_diagonal_check(np.real(a), boundary_tol=args.tol)
         result = {"inside": res.inside, "slack": res.slack}
-        return (0 if res.inside else 1), result, tolerances
+        return (0 if res.inside else 1), result
 
     if cmd == "posdef-angles":
         l = PosDefPoint(_load_matrix(args.left))
         r = PosDefPoint(_load_matrix(args.right))
         ang = noncompact.posdef_angles(l, r)
-        return 0, {"angles": _angles_out(ang)}, tolerances
+        return 0, {"angles": _angles_out(ang)}
 
     if cmd == "lidskii":
         x = _load_matrix(args.x)
         z = _load_matrix(args.z)
         res = noncompact.lidskii_check(x, z, boundary_tol=args.tol)
         result = {"inside": res.inside, "slack": res.slack}
-        return (0 if res.inside else 1), result, tolerances
+        return (0 if res.inside else 1), result
 
     if cmd == "ball-angles":
         t = BallPoint(_load_matrix(args.t))
@@ -277,7 +281,7 @@ def _run(args) -> tuple[int, dict, dict]:
             norm = NormSpec.builtin(args.norm)
             result["norm"] = norm.label()
             result["distance"] = float(norm(ang))
-        return 0, result, tolerances
+        return 0, result
 
     if cmd == "fuzz":
         config = harness.TrialConfig(
@@ -292,16 +296,15 @@ def _run(args) -> tuple[int, dict, dict]:
         )
         report = harness.run_trials(config)
         print(f"fuzz wall time: {report.wall_time:.3f}s", file=sys.stderr)
-        return (0 if report.all_passed else 1), report.to_dict(), {"check": config.tolerance}
+        return (0 if report.all_passed else 1), report.to_dict()
 
     raise AssertionError(f"unhandled command {cmd!r}")
 
 
 def dispatch(argv) -> int:
     """Run one CLI invocation; prints the JSON document, returns exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.tol is None:
@@ -309,7 +312,7 @@ def dispatch(argv) -> int:
         args.tol = harness.TrialConfig.tolerance if args.command == "fuzz" else weyl.BOUNDARY_TOL
     inputs = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
     try:
-        code, result, tolerances = _run(args)
+        code, result = _run(args)
     except (MatrixParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -320,7 +323,7 @@ def dispatch(argv) -> int:
         "command": args.command,
         "inputs": inputs,
         "result": result,
-        "tolerances": tolerances,
+        "tolerances": {"check" if args.command == "fuzz" else "boundary": args.tol},
         "version": __version__,
     }
     json.dump(doc, sys.stdout, indent=2)

@@ -124,19 +124,11 @@ class TangentVector:
         return self.complement @ self.matrix
 
 
-def orthonormal_completion(frame: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the orthogonal complement of `frame`.
-
-    `frame` is n x k with orthonormal columns; the result is n x (n - k),
-    taken from a complete QR factorization, so it is deterministic.
-    """
-    q, _ = np.linalg.qr(frame, mode="complete")
-    return q[:, frame.shape[1]:]
-
-
 def complement_frame(subspace: Subspace) -> np.ndarray:
-    """Orthonormal frame of the orthogonal complement of a subspace."""
-    return orthonormal_completion(subspace.frame)
+    """Orthonormal frame of the orthogonal complement of a subspace: the last
+    n - p columns of a complete QR factorization of its frame, so deterministic."""
+    q, _ = np.linalg.qr(subspace.frame, mode="complete")
+    return q[:, subspace.dim:]
 
 
 def _check_pair(left: Subspace, right: Subspace):

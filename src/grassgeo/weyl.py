@@ -26,9 +26,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
+from . import kernel
 from .errors import CapabilityError, DimensionMismatchError
 
 BOUNDARY_TOL = 1e-9
+BISTOCHASTIC_TOL = 1e-9  # largest row or column sum deviation from 1
+QUASISTOCHASTIC_TOL = 1e-12  # largest absolute row or column sum excess over 1
 ENUMERATION_CAP = 5  # exact vertex enumeration bound (2^p * p! vertices)
 
 
@@ -144,6 +147,8 @@ def orbit_membership(
     psi = np.asarray(psi, dtype=float)
     if x.shape != psi.shape or x.ndim != 1:
         raise DimensionMismatchError(f"length mismatch: {x.shape} vs {psi.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(psi).all()):
+        raise ValueError("x and psi must be finite")
     if group not in ("signed", "permutation"):
         raise ValueError(f"unknown group {group!r}")
     signed = group == "signed"
@@ -237,20 +242,34 @@ def reconstruct_certificate(certificate, psi: np.ndarray) -> np.ndarray:
 # decompositions
 
 
-def _check_bistochastic(a: np.ndarray, tol: float = 1e-9):
-    rows = a.sum(axis=1)
-    cols = a.sum(axis=0)
-    worst_row = float(np.max(np.abs(rows - 1.0)))
-    worst_col = float(np.max(np.abs(cols - 1.0)))
-    if np.min(a) < -1e-12 or worst_row > tol or worst_col > tol:
+def _check_decomposable(a, signed: bool) -> np.ndarray:
+    """Float `a` once square, finite and bistochastic, or (signed) quasistochastic."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    if signed:
+        rows = np.abs(a).sum(axis=1)
+        cols = np.abs(a).sum(axis=0)
+        if np.max(rows) > 1 + QUASISTOCHASTIC_TOL or np.max(cols) > 1 + QUASISTOCHASTIC_TOL:
+            raise ValueError(
+                "matrix is not quasistochastic "
+                f"(worst absolute row sum {np.max(rows):.12f}, column sum {np.max(cols):.12f})"
+            )
+        return a
+    worst_row = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
+    worst_col = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
+    if np.min(a) < -1e-12 or worst_row > BISTOCHASTIC_TOL or worst_col > BISTOCHASTIC_TOL:
         raise ValueError(
             "matrix is not bistochastic "
             f"(min entry {np.min(a):.3e}, worst row-sum deviation {worst_row:.3e}, "
             f"worst column-sum deviation {worst_col:.3e})"
         )
+    return a
 
 
-def birkhoff_decompose(a: np.ndarray, tol: float = 1e-9):
+def birkhoff_decompose(a: np.ndarray):
     """Write a bistochastic matrix as a convex combination of permutations.
 
     Returns a list of (weight, SignedPermutation with all-plus signs); at
@@ -260,10 +279,7 @@ def birkhoff_decompose(a: np.ndarray, tol: float = 1e-9):
     term count is set by the support of `a`: a matching chosen otherwise
     (max-sum, bottleneck) saves few terms and costs more per step.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
-    _check_bistochastic(a, tol)
+    a = _check_decomposable(a, signed=False)
     p = a.shape[0]
     rem = np.clip(a, 0.0, None).copy()
     rows = np.arange(p)
@@ -280,7 +296,7 @@ def birkhoff_decompose(a: np.ndarray, tol: float = 1e-9):
     return terms
 
 
-def quasistochastic_decompose(a: np.ndarray, tol: float = 1e-12):
+def quasistochastic_decompose(a: np.ndarray):
     """Convex combination of signed permutation matrices equal to `a`.
 
     Requires absolute row and column sums <= 1.  |a| is raised greedily to a
@@ -289,26 +305,16 @@ def quasistochastic_decompose(a: np.ndarray, tol: float = 1e-12):
     over thresholds t in [0, 1] of the sign vectors [r > 2t - 1], of which at
     most p + 1 differ: at most ((p-1)^2 + 1)(p + 1) terms.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
-    p = a.shape[0]
-    rows = np.abs(a).sum(axis=1)
-    cols = np.abs(a).sum(axis=0)
-    if np.max(rows) > 1 + tol or np.max(cols) > 1 + tol:
-        raise ValueError(
-            "matrix is not quasistochastic "
-            f"(worst absolute row sum {np.max(rows):.12f}, column sum {np.max(cols):.12f})"
-        )
+    a = _check_decomposable(a, signed=True)
     b = np.abs(a)
-    col_gap = np.clip(1 - cols, 0, None)
-    for i, row_gap in enumerate(np.clip(1 - rows, 0, None)):
+    col_gap = np.clip(1 - b.sum(axis=0), 0, None)
+    for i, row_gap in enumerate(np.clip(1 - b.sum(axis=1), 0, None)):
         # row i takes the column gaps in order until its own gap is filled
         fill = np.diff(np.minimum(np.cumsum(col_gap), row_gap), prepend=0.0)
         b[i] += fill
         col_gap -= fill
     terms = []
-    idx = np.arange(p)
+    idx = np.arange(len(a))
     for weight, w in birkhoff_decompose(b):
         match = w.perm
         u = (1 + np.clip(a[idx, match] / b[idx, match], -1, 1)) / 2
@@ -321,8 +327,6 @@ def quasistochastic_decompose(a: np.ndarray, tol: float = 1e-12):
 
 def fan_ky_diagonal_check(a: np.ndarray, boundary_tol: float = BOUNDARY_TOL) -> MembershipResult:
     """Diagonal of a real p x q matrix against the orbit hull of its singular values."""
-    from . import kernel
-
     a = np.asarray(a, dtype=float)
     p, q = a.shape
     if p > q:

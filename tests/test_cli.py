@@ -247,3 +247,30 @@ class TestExitCodes:
 
     def test_help_exits_cleanly(self, capsys):
         assert cli.dispatch(["--help"]) == 0
+
+
+class TestSharedParser:
+    def test_calls_do_not_leak_into_each_other(self, tmp_path, capsys):
+        left = write(tmp_path, "l.txt", "1\n0\n")
+        right = write(tmp_path, "r.txt", "1\n1\n")
+        at = ["geodesic", "--left", left, "--right", right, "--at", "0.25", "--at", "0.75"]
+        assert cli.dispatch(at) == 0
+        first = capsys.readouterr().out
+        code, doc = run(capsys, "geodesic", "--left", left, "--right", right, "--samples", "3")
+        assert code == 0
+        assert [pt["s"] for pt in doc["result"]["points"]] == [0.0, 0.5, 1.0]
+        assert cli.dispatch(["angles", "--bogus"]) == 2
+        assert cli.dispatch(["--help"]) == 0
+        capsys.readouterr()
+        assert cli.dispatch(at) == 0
+        assert capsys.readouterr().out == first
+
+    def test_dispatch_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dispatch built a parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        left = write(tmp_path, "l.txt", "1 0\n0 1\n0 0\n0 0\n")
+        code, doc = run(capsys, "angles", "--left", left, "--right", left)
+        assert code == 0
+        assert doc["result"]["angles"] == [0.0, 0.0]

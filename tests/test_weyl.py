@@ -228,6 +228,15 @@ class TestOrbitMembership:
         with pytest.raises(ValueError):
             weyl.orbit_membership([0.0, 0.0], [1.0, -1.0], "signed")
 
+    @pytest.mark.parametrize("group", ["signed", "permutation"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, group, bad):
+        # a NaN slack would read as an ordinary violation, and NaN passes psi < 0
+        with pytest.raises(ValueError, match="finite"):
+            weyl.orbit_membership([bad, 0.1], [1.0, 0.5], group)
+        with pytest.raises(ValueError, match="finite"):
+            weyl.orbit_membership([0.2, 0.1], [bad, 0.5], group)
+
     def test_lp_oracle_agreement(self, rng):
         for _ in range(150):
             p = int(rng.integers(2, 5))
@@ -301,6 +310,11 @@ class TestBirkhoff:
         with pytest.raises(ValueError, match="row-sum"):
             weyl.birkhoff_decompose(np.array([[0.6, 0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            weyl.birkhoff_decompose(np.array([[bad, 0.5], [0.5, 0.5]]))
+
 
 class TestQuasistochastic:
     def test_signed_permutation_matrix(self):
@@ -327,6 +341,11 @@ class TestQuasistochastic:
     def test_rejects_excess_row_sum(self):
         with pytest.raises(ValueError, match="quasistochastic"):
             weyl.quasistochastic_decompose(np.array([[0.9, 0.3], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            weyl.quasistochastic_decompose(np.array([[bad, 0.5], [0.5, 0.5]]))
 
 
 class TestFanKyDiagonal:
