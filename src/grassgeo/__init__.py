@@ -45,7 +45,6 @@ from .subspaces import (  # noqa: F401
     jordan_angles,
     minimax_probe,
     principal_vectors,
-    projector_angles,
     tangent_invariants,
 )
 from .weyl import (  # noqa: F401

@@ -6,7 +6,7 @@ class GrassGeoError(Exception):
 
 
 class ConvergenceError(GrassGeoError):
-    """A LAPACK factorization (SVD or Hermitian eigensolver) did not converge."""
+    """A LAPACK factorization (SVD, Hermitian eigensolver, CS decomposition) did not converge."""
 
 
 class DimensionMismatchError(GrassGeoError, ValueError):

@@ -2,12 +2,13 @@
 
 Thin wrappers over LAPACK for the small-matrix factorizations every other
 module uses: thin SVD or singular values alone, Hermitian eigensystem,
-inverse square root of a positive definite matrix, QR orthonormalization and
-a Cholesky factorization (potrf) that reports the failing pivot.  Each forms
-only what its callers read, validates its input, returns spectra sorted
-decreasing and raises the package's typed errors; a LAPACK convergence
-failure surfaces as ConvergenceError.  Accuracy for small Jordan angles
-comes from the sine route in `subspaces`, not from the solver.
+inverse square root of a positive definite matrix, QR orthonormalization,
+a Cholesky factorization (potrf) that reports the failing pivot, and the CS
+decomposition of a unitary matrix (orcsd/uncsd), whose angles are accurate
+to rounding near 0 and pi/2.  Each forms only what its callers read, validates
+its input, returns spectra sorted decreasing (CS angles increasing) and
+raises the package's typed errors; a LAPACK convergence failure surfaces as
+ConvergenceError.
 
 All functions accept real or complex ndarrays and are pure.
 """
@@ -120,6 +121,37 @@ def cholesky(a: np.ndarray):
     if j >= 0:
         raise NotPositiveDefiniteError(f"matrix is not positive definite (pivot {j})", pivot=j)
     return r
+
+
+def cs_decomposition(a: np.ndarray, p: int):
+    """CS decomposition (orcsd/uncsd) of a unitary n x n matrix split at p.
+
+    Returns (theta, u1, u2), theta increasing in [0, pi/2], with
+    a[:p, :p] = u1 diag(cos theta) v1* and a[p:, :p] = u2[:, -p:]
+    diag(sin theta) v1* for one unitary v1, not formed.  Needs 1 <= p <= n/2.
+    """
+    a = _check_finite(a)
+    n, nc = a.shape
+    if n != nc:
+        raise DimensionMismatchError(f"expected square matrix, got {n}x{nc}")
+    if not 1 <= p <= n - p:
+        raise DimensionMismatchError(f"need 1 <= p <= n/2, got p = {p} for n = {n}")
+    a = a.astype(np.result_type(a, np.float64), copy=False)
+    name = "uncsd" if np.iscomplexobj(a) else "orcsd"
+    csd, query = get_lapack_funcs((name, name + "_lwork"), (a,))
+    # scipy's default lwork is too small: ask LAPACK (lwork, lrwork if complex)
+    sizes = dict(zip(("lwork", "lrwork"), (int(w.real) for w in query(n, p, p)[:-1])))
+    *_, theta, u1, u2, _, _, info = csd(
+        a[:p, :p], a[:p, p:], a[p:, :p], a[p:, p:], compute_v1t=0, compute_v2t=0, **sizes
+    )
+    if info < 0:
+        raise ValueError(f"{csd.typecode}{name} rejected its argument {-info}")
+    if info > 0:
+        raise ConvergenceError(f"CS decomposition did not converge for a {n}x{n} matrix")
+    # LAPACK documents no order for theta: sort u1 and u2's sine block with it
+    order = np.argsort(theta, kind="stable")
+    u2[:, -p:] = u2[:, -p:][:, order]
+    return theta[order], u1[:, order], u2
 
 
 def inv_sqrt_psd(a: np.ndarray) -> np.ndarray:

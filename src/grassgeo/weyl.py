@@ -145,8 +145,8 @@ def orbit_membership(
     """
     x = np.asarray(x, dtype=float)
     psi = np.asarray(psi, dtype=float)
-    if x.shape != psi.shape or x.ndim != 1:
-        raise DimensionMismatchError(f"length mismatch: {x.shape} vs {psi.shape}")
+    if x.shape != psi.shape or x.ndim != 1 or x.size == 0:
+        raise DimensionMismatchError(f"need equal nonempty lengths, got {x.shape} vs {psi.shape}")
     if not (np.isfinite(x).all() and np.isfinite(psi).all()):
         raise ValueError("x and psi must be finite")
     if group not in ("signed", "permutation"):
@@ -243,10 +243,10 @@ def reconstruct_certificate(certificate, psi: np.ndarray) -> np.ndarray:
 
 
 def _check_decomposable(a, signed: bool) -> np.ndarray:
-    """Float `a` once square, finite and bistochastic, or (signed) quasistochastic."""
+    """Float `a` once nonempty, square, finite and bistochastic, or (signed) quasistochastic."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected square matrix, got {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatchError(f"expected nonempty square matrix, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     if signed:

@@ -72,13 +72,13 @@ def test_02_route_equivalence():
         l = sub.Subspace.from_spanning(a)
         m = sub.Subspace.from_spanning(b)
         svd_route = sub.jordan_angles(l, m)
-        proj_route = sub.projector_angles(l, m)
+        cs_route = sub.principal_vectors(l, m).angles
         gram_route = sub.angles_from_gram(
             a.conj().T @ a, b.conj().T @ b, a.conj().T @ b
         )
         worst = max(
             worst,
-            float(np.max(np.abs(svd_route - proj_route))),
+            float(np.max(np.abs(svd_route - cs_route))),
             float(np.max(np.abs(svd_route - gram_route))),
         )
     _report(2, "three angle routes agree", worst <= 1e-8, f"worst deviation {worst:.2e}")

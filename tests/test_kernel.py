@@ -3,10 +3,12 @@ import pytest
 
 from grassgeo import kernel
 from grassgeo.errors import (
+    ConvergenceError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     RankDeficiencyError,
 )
+from grassgeo.harness import random_rotation
 
 from conftest import random_matrix
 
@@ -141,6 +143,64 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             kernel.cholesky(1e-20 * np.diag([1.0, 1e-15]))
         assert exc.value.pivot == 1
+
+
+class TestCsDecomposition:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_haar_unitaries(self, rng, field):
+        worst = 0.0
+        for n in range(2, 33):
+            for p in range(1, n // 2 + 1):
+                a = random_rotation(n, field, rng)
+                theta, u1, u2 = kernel.cs_decomposition(a, p)
+                assert theta.shape == (p,)
+                assert np.all(np.diff(theta) >= 0)
+                assert theta[0] >= 0 and theta[-1] <= np.pi / 2
+                a11, a21, sines = a[:p, :p], a[p:, :p], u2[:, -p:]
+                worst = max(
+                    worst,
+                    np.linalg.norm(u1.conj().T @ u1 - np.eye(p)),
+                    np.linalg.norm(u2.conj().T @ u2 - np.eye(n - p)),
+                    np.linalg.norm(u1.conj().T @ a11 @ a11.conj().T @ u1 - np.diag(np.cos(theta) ** 2)),
+                    np.linalg.norm(sines.conj().T @ a21 @ a21.conj().T @ sines - np.diag(np.sin(theta) ** 2)),
+                    np.linalg.norm(u2[:, :n - 2 * p].conj().T @ a21),
+                )
+        assert worst <= 1e-13
+
+    def test_rejects_bad_input(self, rng):
+        a = random_rotation(6, "real", rng)
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel.cs_decomposition(np.where(np.eye(6) == 1, np.nan, a), 2)
+        with pytest.raises(DimensionMismatchError):
+            kernel.cs_decomposition(a[:, :5], 2)
+        for p in (0, 4):
+            with pytest.raises(DimensionMismatchError):
+                kernel.cs_decomposition(a, p)
+
+    def test_lapack_errors_raise(self, rng, monkeypatch):
+        # a stand-in for dorcsd that reports info; the real one gets its
+        # workspace from the lwork query, so it never rejects an argument here
+        a = random_rotation(4, "real", rng)
+        funcs = kernel.get_lapack_funcs
+
+        def with_info(info):
+            def lookup(names, arrays):
+                csd, query = funcs(names, arrays)
+
+                def stub(*args, **kwargs):
+                    *out, _ = csd(*args, **kwargs)
+                    return (*out, info)
+
+                stub.typecode = csd.typecode
+                return stub, query
+            monkeypatch.setattr(kernel, "get_lapack_funcs", lookup)
+
+        with_info(-22)
+        with pytest.raises(ValueError, match="dorcsd rejected its argument 22"):
+            kernel.cs_decomposition(a, 2)
+        with_info(1)
+        with pytest.raises(ConvergenceError):
+            kernel.cs_decomposition(a, 2)
 
 
 class TestInvSqrt:

@@ -132,7 +132,8 @@ class TestHCurveBetween:
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_equal_endpoints_give_zero_rates(self, rng, cplx):
-        # the rates come from the sine route, not from arccos of cosines near 1
+        # the rates are CS-decomposition angles, accurate near 0, not arccos
+        # of cosines near 1
         field = "complex" if cplx else "real"
         for _ in range(50):
             l = random_subspace(3, 4, field, rng)
@@ -170,7 +171,7 @@ class TestHCurveBetween:
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_angles_at_the_sine_cosine_split(self, rng, cplx):
-        # equal angles at pi/4 can fall on both sides of cos^2 > 1/2, and
+        # equal angles at pi/4, where cos = sin, and angles just beside it:
         # the curve must still end in the right subspace
         field = "complex" if cplx else "real"
         quarter = np.pi / 4
@@ -187,8 +188,9 @@ class TestHCurveBetween:
                 assert np.max(np.abs(curve.a - a)) < 1e-12
 
     def test_tiny_angles_handled(self, rng):
-        # the cosines agree to rounding here, so the pairing of e and f must
-        # come from the residual's singular vectors, not the cross-Gram's
+        # the cosines agree to rounding here, so e and f must be paired
+        # through the sines too, as the CS decomposition pairs them, not
+        # through the cross-Gram's singular vectors alone
         for p, q in ((2, 4), (16, 16)):
             for sep in (1e-9, 1e-5):
                 for _ in range(20):

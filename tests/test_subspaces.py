@@ -98,15 +98,44 @@ class TestAngleRoutes:
             l = sub.Subspace.from_spanning(a)
             m = sub.Subspace.from_spanning(b)
             ang = sub.jordan_angles(l, m)
-            assert np.allclose(ang, sub.projector_angles(l, m), atol=1e-9)
+            assert np.allclose(ang, sub.principal_vectors(l, m).angles, atol=1e-9)
             gram = sub.angles_from_gram(a.conj().T @ a, b.conj().T @ b, a.conj().T @ b)
             assert np.allclose(ang, gram, atol=1e-8)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_gram_prescribed_angles(self, rng, cplx):
+        # cosines near 1 carry the angle only to about sqrt(eps): a sweep of
+        # 12,000 draws reached 1.5e-7 with orthonormal bases and
+        # 2.3 sqrt(eps cond) with skewed ones
+        field = "complex" if cplx else "real"
+        eps = np.finfo(float).eps
+        choices = [0.0, 1e-12, 1e-9, 1e-8, 1e-7, 1e-5, 0.3, np.pi / 4, np.pi / 2]
+        for trial in range(150):
+            p = int(rng.integers(1, 9))
+            n = 2 * p + int(rng.integers(0, 4))
+            if trial % 2:
+                a = np.sort(rng.choice(choices, p))
+            else:
+                a = np.sort(rng.uniform(0, np.pi / 2, p))
+            frame = random_rotation(n, field, rng)
+            e, f = frame[:, :p], frame[:, p:2 * p]
+            lf = e @ random_rotation(p, field, rng)
+            mf = (e * np.cos(a) + f * np.sin(a)) @ random_rotation(p, field, rng)
+            ang = sub.angles_from_gram(lf.conj().T @ lf, mf.conj().T @ mf, lf.conj().T @ mf)
+            assert np.max(np.abs(ang - a)) <= 5e-7
+            skewed_l = lf @ (np.eye(p) + 0.5 * random_matrix(rng, (p, p)))
+            skewed_m = mf @ (np.eye(p) + 0.5 * random_matrix(rng, (p, p)))
+            u = skewed_l.conj().T @ skewed_l
+            v = skewed_m.conj().T @ skewed_m
+            ang = sub.angles_from_gram(u, v, skewed_l.conj().T @ skewed_m)
+            cond = max(np.linalg.cond(u), np.linalg.cond(v))
+            assert np.max(np.abs(ang - a)) <= 8 * np.sqrt(eps * cond)
 
     def test_perpendicular(self):
         e = np.eye(4)
         l = sub.Subspace(e[:, :1])
         m = sub.Subspace(e[:, 1:2])
-        assert np.allclose(sub.projector_angles(l, m), np.pi / 2, atol=1e-12)
+        assert np.allclose(sub.principal_vectors(l, m).angles, np.pi / 2, atol=1e-12)
 
 
 class TestPrincipalVectors:
@@ -141,8 +170,8 @@ class TestPrincipalVectors:
         # the g of zero angles are arbitrary; they must not take a direction
         # that a determined column needs.  Coordinate subspaces are the
         # sharpest case: there the arbitrary g can lie inside the left one.
-        # Equal or nearly equal angles at pi/4 straddle the sine/cosine
-        # split, so their e and g must still come from one right basis.
+        # Equal or nearly equal angles at pi/4, where cos = sin, must still
+        # give one jointly orthonormal (e, g).
         field = "complex" if cplx else "real"
         eye = np.eye(6, dtype=complex if cplx else float)
         pairs = [(eye[:, :3], eye[:, list(cols)], None) for cols in itertools.combinations(range(6), 3)]
@@ -165,6 +194,30 @@ class TestPrincipalVectors:
             assert np.linalg.norm(pair.f_basis @ pair.f_basis.conj().T - m.projector()) < 1e-12
             if a is not None:
                 assert np.max(np.abs(pair.angles - a)) < 1e-12
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_large_ambient_dimension(self, rng, cplx, monkeypatch):
+        # p = 3 in n = 500: the CS decomposition works in the span of both
+        # subspaces, so it sees a 2p x 2p matrix, never an n x n one
+        seen = []
+        cs = sub.kernel.cs_decomposition
+        monkeypatch.setattr(sub.kernel, "cs_decomposition",
+                            lambda a, p: seen.append(a.shape) or cs(a, p))
+        field = "complex" if cplx else "real"
+        for a in ([0.0, 1e-9, 0.4], [0.2, np.pi / 2, np.pi / 2], [1e-12, 0.7, 1.3]):
+            a = np.array(a)
+            frame = random_matrix(rng, (500, 6), cplx)
+            frame, _ = np.linalg.qr(frame)
+            e, f = frame[:, :3], frame[:, 3:]
+            l = sub.Subspace(e @ random_rotation(3, field, rng))
+            m = sub.Subspace((e * np.cos(a) + f * np.sin(a)) @ random_rotation(3, field, rng))
+            pair = sub.principal_vectors(l, m)
+            combined = np.hstack([pair.e_basis, pair.g_basis])
+            assert np.linalg.norm(combined.conj().T @ combined - np.eye(6)) < 1e-12
+            assert np.linalg.norm(pair.e_basis @ pair.e_basis.conj().T - l.projector()) < 1e-12
+            assert np.linalg.norm(pair.f_basis @ pair.f_basis.conj().T - m.projector()) < 1e-12
+            assert np.max(np.abs(pair.angles - a)) < 1e-12
+        assert seen == [(6, 6)] * 3
 
 
 class TestMinimaxProbe:

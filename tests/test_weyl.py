@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grassgeo import cli, weyl
+from grassgeo.errors import DimensionMismatchError
 from grassgeo.harness import random_rotation
 
 from conftest import random_matrix
@@ -237,6 +238,11 @@ class TestOrbitMembership:
         with pytest.raises(ValueError, match="finite"):
             weyl.orbit_membership([0.2, 0.1], [bad, 0.5], group)
 
+    @pytest.mark.parametrize("group", ["signed", "permutation"])
+    def test_empty_query_rejected(self, group):
+        with pytest.raises(DimensionMismatchError, match="nonempty"):
+            weyl.orbit_membership([], [], group)
+
     def test_lp_oracle_agreement(self, rng):
         for _ in range(150):
             p = int(rng.integers(2, 5))
@@ -315,6 +321,10 @@ class TestBirkhoff:
         with pytest.raises(ValueError, match="non-finite"):
             weyl.birkhoff_decompose(np.array([[bad, 0.5], [0.5, 0.5]]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError, match="nonempty"):
+            weyl.birkhoff_decompose(np.zeros((0, 0)))
+
 
 class TestQuasistochastic:
     def test_signed_permutation_matrix(self):
@@ -346,6 +356,10 @@ class TestQuasistochastic:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             weyl.quasistochastic_decompose(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionMismatchError, match="nonempty"):
+            weyl.quasistochastic_decompose(np.zeros((0, 0)))
 
 
 class TestFanKyDiagonal:
