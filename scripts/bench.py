@@ -4,11 +4,11 @@
 The layer matrix times each layer's public call at p in --sizes (median
 microseconds per call): kernel factorizations, Jordan angles, H-curve build
 and evaluation, the majorization verdict, the certificate, both
-decompositions, posdef angles and ball angles.  End to end it times
-`run_trials` (ms per trial, per space, p=3 q=4 n=4) and one in-process CLI
-call (`triangle --certificate` at p=3).  A stamp records the grassgeo SHA,
-numpy and scipy versions, CPU count and BLAS threads; BLAS is pinned to one
-thread unless the environment says otherwise.
+decompositions, posdef angles, ball point construction and ball angles.
+End to end it times `run_trials` (ms per trial, per space, p=3 q=4 n=4) and
+one in-process CLI call (`triangle --certificate` at p=3).  A stamp records
+the grassgeo SHA, numpy and scipy versions, CPU count and BLAS threads; BLAS
+is pinned to one thread unless the environment says otherwise.
 
 An existing output file keeps its other columns, so the same file can hold a
 baseline and a change measured one after the other on one machine:
@@ -107,6 +107,7 @@ def layer_calls(x: dict) -> dict:
         "weyl.birkhoff_decompose": lambda: weyl.birkhoff_decompose(x["bistochastic"]),
         "weyl.quasistochastic_decompose": lambda: weyl.quasistochastic_decompose(x["quasistochastic"]),
         "noncompact.posdef_angles": lambda: noncompact.posdef_angles(*x["posdef"]),
+        "noncompact.BallPoint": lambda: noncompact.BallPoint(x["ball"][0].matrix),
         "noncompact.ball_angles": lambda: noncompact.ball_angles(*x["ball"]),
     }
 

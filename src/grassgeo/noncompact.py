@@ -42,9 +42,10 @@ class PosDefPoint:
 
 @dataclass(frozen=True)
 class BallPoint:
-    """A complex symmetric matrix of operator norm < 1."""
+    """A complex symmetric matrix T = T^t (exactly) of norm < 1, with defect (1 - T T*)^(-1/2)."""
 
     matrix: np.ndarray
+    defect: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.matrix, dtype=complex)
@@ -52,10 +53,12 @@ class BallPoint:
             raise DimensionMismatchError(f"expected a square matrix, got {t.shape}")
         if np.linalg.norm(t - t.T) > kernel.HERMITIAN_TOL * np.linalg.norm(t):
             raise ValueError("matrix is not symmetric (T = T^t) within tolerance")
+        t = (t + t.T) / 2.0
         top = kernel.singular_values(t)[0]
         if top > 1.0 - BALL_NORM_MARGIN:
             raise ValueError(f"operator norm {top:.12f} is not strictly below 1")
         object.__setattr__(self, "matrix", t)
+        object.__setattr__(self, "defect", _inv_sqrt_defect(t @ t.conj().T))
 
     @property
     def size(self) -> int:
@@ -126,12 +129,9 @@ def _inv_sqrt_defect(gram: np.ndarray) -> np.ndarray:
 
 
 def cross_ratio_matrix(t: BallPoint, s: BallPoint) -> np.ndarray:
-    """(1 - T T*)^(-1/2) (1 - T S) (1 - S S*)^(-1/2)."""
+    """(1 - T T*)^(-1/2) (1 - T S*) (1 - S S*)^(-1/2)."""
     _check_same_size(t, s)
-    tm, sm = t.matrix, s.matrix
-    left = _inv_sqrt_defect(tm @ tm.conj().T)
-    right = _inv_sqrt_defect(sm @ sm.conj().T)
-    return left @ (np.eye(t.size) - tm @ np.conj(sm)) @ right
+    return t.defect @ (np.eye(t.size) - t.matrix @ np.conj(s.matrix)) @ s.defect
 
 
 def ball_angles(t: BallPoint, s: BallPoint) -> np.ndarray:
@@ -141,12 +141,10 @@ def ball_angles(t: BallPoint, s: BallPoint) -> np.ndarray:
     By Hua's identity C C* = 1 + D D* with
     D = (1 - T T*)^(-1/2) (T - S) (1 - S* S)^(-1/2), so they are the arsinh
     of the singular values of D, accurate for nearby points and 0 at T = S.
+    As S = S^t, the right factor is the conjugate of S's (1 - S S*)^(-1/2).
     """
     _check_same_size(t, s)
-    tm, sm = t.matrix, s.matrix
-    left = _inv_sqrt_defect(tm @ tm.conj().T)
-    right = _inv_sqrt_defect(sm.conj().T @ sm)
-    sigma = kernel.singular_values(left @ (tm - sm) @ right)
+    sigma = kernel.singular_values(t.defect @ (t.matrix - s.matrix) @ np.conj(s.defect))
     return np.arcsinh(sigma)[::-1].copy()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grassgeo import kernel
 from grassgeo import noncompact as nc
 from grassgeo.errors import (
     DimensionMismatchError,
@@ -171,6 +172,43 @@ class TestBallPoint:
             BallPoint(1e-12 * np.array([[0.1, 0.5], [-0.5, 0.1]]))
         t = random_ball_point(3, rng).matrix
         assert np.array_equal(BallPoint(1e-20 * t).matrix, 1e-20 * t)
+
+    def test_stored_matrix_is_exactly_symmetric(self, rng):
+        # asymmetry inside the tolerance is dropped, so the conjugate of the
+        # defect factor is (1 - T* T)^(-1/2) exactly and both argument orders
+        # of ball_angles see the same matrices
+        t = random_ball_point(4, rng)
+        g = random_matrix(rng, (4, 4), True)
+        skew = (g - g.T) / np.linalg.norm(g - g.T)
+        eps = 4e-11 * np.linalg.norm(t.matrix)
+        t2 = BallPoint(t.matrix + eps * skew)
+        assert np.array_equal(t2.matrix, t2.matrix.T)
+        assert np.linalg.norm(t2.matrix - t.matrix) <= 1e-15 * np.linalg.norm(t.matrix)
+        s = random_ball_point(4, rng)
+        ang = nc.ball_angles(t2, s)
+        assert np.all(np.abs(nc.ball_angles(s, t2) - ang) <= 1e-13 * ang[-1])
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_defect_conjugate_is_the_right_factor(self, rng, n):
+        # (1 - S* S)^(-1/2) from an independent eigendecomposition
+        for _ in range(200):
+            s = random_ball_point(n, rng)
+            lam, v = np.linalg.eigh(np.eye(n) - s.matrix.conj().T @ s.matrix)
+            right = (v / np.sqrt(lam)) @ v.conj().T
+            assert np.linalg.norm(np.conj(s.defect) - right) <= 1e-13 * np.linalg.norm(right)
+
+    def test_angle_calls_reuse_the_defect(self, rng, monkeypatch):
+        t, s = random_ball_point(5, rng), random_ball_point(5, rng)
+        expected = nc.ball_angles(t, s), nc.cross_ratio_matrix(t, s)
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eigendecomposition after construction")
+
+        monkeypatch.setattr(kernel, "eig_hermitian", no_eig)
+        assert np.array_equal(nc.ball_angles(t, s), expected[0])
+        assert np.array_equal(nc.cross_ratio_matrix(t, s), expected[1])
+        with pytest.raises(AssertionError, match="eigendecomposition"):
+            BallPoint(t.matrix)
 
 
 class TestBallAngles:

@@ -60,6 +60,6 @@ def test_bench_writes_every_row(tmp_path):
             "subspaces.jordan_angles", "metrics.hcurve_between", "metrics.hcurve_eval",
             "weyl.verdict", "weyl.certificate", "weyl.birkhoff_decompose",
             "weyl.quasistochastic_decompose", "noncompact.posdef_angles",
-            "noncompact.ball_angles"} <= set(col["layers_us"]["3"])
+            "noncompact.BallPoint", "noncompact.ball_angles"} <= set(col["layers_us"]["3"])
     assert set(col["terms"]["3"]) == {"certificate", "birkhoff", "quasistochastic"}
     assert set(col["run_trials_ms_per_trial"]) == set(harness.SPACES)
