@@ -5,8 +5,10 @@ The layer matrix times each layer's public call at p in --sizes (median
 microseconds per call): kernel factorizations, Jordan angles, H-curve build
 and evaluation, the majorization verdict, the certificate, both
 decompositions, posdef angles, ball point construction and ball angles.
-End to end it times `run_trials` (ms per trial, per space, p=3 q=4 n=4) and
-one in-process CLI call (`triangle --certificate` at p=3).  A stamp records
+End to end it times `run_trials` (ms per trial, per space, p=3 q=4 n=4),
+one in-process CLI call (`triangle --certificate` at p=3), and a cold
+`import grassgeo.cli` (median seconds over --repeat fresh interpreters, and
+whether any of them loaded scipy.optimize).  A stamp records
 the grassgeo SHA, numpy and scipy versions, CPU count and BLAS threads; BLAS
 is pinned to one thread unless the environment says otherwise.
 
@@ -149,6 +151,21 @@ def cli_call_ms(repeat: int, min_time: float) -> float:
         return time_call(call, repeat, min_time) / 1e3
 
 
+def cold_import(runs: int):
+    """Median seconds to `import grassgeo.cli` in `runs` fresh interpreters,
+    and whether any of those imports loaded scipy.optimize."""
+    child = ("import sys, time; start = time.perf_counter(); import grassgeo.cli; "
+             "print(time.perf_counter() - start, 'scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(grassgeo.__file__).resolve().parent.parent))
+    seconds, loaded = [], False
+    for _ in range(runs):
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        seconds.append(float(out[0]))
+        loaded = loaded or out[1] == "True"
+    return statistics.median(seconds), loaded
+
+
 def stamp() -> dict:
     src = Path(grassgeo.__file__).resolve().parent
 
@@ -186,6 +203,7 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=100, help="run_trials trials per space")
     args = ap.parse_args()
 
+    import_s, loads_optimize = cold_import(args.repeat)
     layers, terms = {}, {}
     for p in args.sizes:
         calls = layer_calls(layer_inputs(p))
@@ -199,6 +217,8 @@ def main() -> int:
         "terms": terms,
         "run_trials_ms_per_trial": run_trials_ms(args.trials),
         "cli_triangle_certificate_ms": cli_call_ms(args.repeat, args.min_time),
+        "cold_import_s": import_s,
+        "cold_import_loads_scipy_optimize": loads_optimize,
     }
 
     out = Path(args.out)

@@ -54,11 +54,13 @@ class BallPoint:
         if np.linalg.norm(t - t.T) > kernel.HERMITIAN_TOL * np.linalg.norm(t):
             raise ValueError("matrix is not symmetric (T = T^t) within tolerance")
         t = (t + t.T) / 2.0
-        top = kernel.singular_values(t)[0]
-        if top > 1.0 - BALL_NORM_MARGIN:
-            raise ValueError(f"operator norm {top:.12f} is not strictly below 1")
+        # T = U S V*, so T T* = U S^2 U*; 1 - s^2 is read from s, not from rounded T T*
+        f = kernel.svd(t)
+        u, s = f.left, f.singular_values
+        if s[0] > 1.0 - BALL_NORM_MARGIN:
+            raise ValueError(f"operator norm {s[0]:.12f} is not strictly below 1")
         object.__setattr__(self, "matrix", t)
-        object.__setattr__(self, "defect", _inv_sqrt_defect(t @ t.conj().T))
+        object.__setattr__(self, "defect", (u / np.sqrt((1.0 - s) * (1.0 + s))) @ u.conj().T)
 
     @property
     def size(self) -> int:
@@ -115,17 +117,6 @@ def lidskii_check(
     lam_xz, _ = kernel.eig_hermitian(x + z)
     lam_z, _ = kernel.eig_hermitian(z)
     return weyl.orbit_membership(lam_xz - lam_x, lam_z, "permutation", boundary_tol=boundary_tol)
-
-
-def _inv_sqrt_defect(gram: np.ndarray) -> np.ndarray:
-    """(1 - G)^(-1/2) for a Gram matrix G of a ball point.
-
-    The rounding of G is absolute, about eps * |G|, so near the boundary,
-    where 1 - G is small, it is not Hermitian within a relative tolerance;
-    its Hermitian part is taken first.
-    """
-    d = np.eye(gram.shape[0]) - gram
-    return kernel.inv_sqrt_psd((d + d.conj().T) / 2.0)
 
 
 def cross_ratio_matrix(t: BallPoint, s: BallPoint) -> np.ndarray:

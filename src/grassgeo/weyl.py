@@ -14,7 +14,8 @@ Membership criteria:
 Certificates are built at any p by one walk down the faces of the orbit
 polytope (`_face_walk`); only the vertex LP oracle (`vertex_lp_membership`,
 which cross-validates the criteria in the test suite) enumerates the
-group, capped at p <= 5.
+group, capped at p <= 5.  scipy.optimize, which no verdict or certificate
+needs, is imported on first use (`birkhoff_decompose`, `linprog`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from . import kernel
 from .errors import CapabilityError, DimensionMismatchError
@@ -219,6 +219,12 @@ def _face_walk(x: np.ndarray, psi: np.ndarray, signed: bool):
     return [(wt, SignedPermutation(*w)) for wt, w in terms]
 
 
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use to keep it off the import path."""
+    from scipy.optimize import linprog
+    return linprog(*args, **kwargs)
+
+
 def vertex_lp_membership(x, psi, group: str = "signed") -> bool:
     """Brute-force membership oracle by LP over the enumerated orbit."""
     x = np.asarray(x, dtype=float)
@@ -279,6 +285,7 @@ def birkhoff_decompose(a: np.ndarray):
     term count is set by the support of `a`: a matching chosen otherwise
     (max-sum, bottleneck) saves few terms and costs more per step.
     """
+    from scipy.optimize import linear_sum_assignment
     a = _check_decomposable(a, signed=False)
     p = a.shape[0]
     rem = np.clip(a, 0.0, None).copy()

@@ -201,13 +201,17 @@ class TestBallPoint:
         t, s = random_ball_point(5, rng), random_ball_point(5, rng)
         expected = nc.ball_angles(t, s), nc.cross_ratio_matrix(t, s)
 
-        def no_eig(*args, **kwargs):
-            raise AssertionError("eigendecomposition after construction")
+        def no_factor(name):
+            def raiser(*args, **kwargs):
+                raise AssertionError(f"{name} after construction")
+            return raiser
 
-        monkeypatch.setattr(kernel, "eig_hermitian", no_eig)
+        monkeypatch.setattr(kernel, "svd", no_factor("svd"))
+        monkeypatch.setattr(kernel, "eig_hermitian", no_factor("eig_hermitian"))
         assert np.array_equal(nc.ball_angles(t, s), expected[0])
         assert np.array_equal(nc.cross_ratio_matrix(t, s), expected[1])
-        with pytest.raises(AssertionError, match="eigendecomposition"):
+        # construction takes its factor from one SVD and nothing else
+        with pytest.raises(AssertionError, match="^svd after construction$"):
             BallPoint(t.matrix)
 
 

@@ -53,7 +53,7 @@ def test_bench_writes_every_row(tmp_path):
     assert set(doc["columns"]) == {"before", "after"}
     col = doc["columns"]["after"]
     assert set(col) == {"stamp", "settings", "layers_us", "terms", "run_trials_ms_per_trial",
-                        "cli_triangle_certificate_ms"}
+                        "cli_triangle_certificate_ms", "cold_import_s", "cold_import_loads_scipy_optimize"}
     assert {"sha", "numpy", "scipy", "cpu_count", "blas_threads"} <= set(col["stamp"])
     assert set(col["layers_us"]) == set(col["terms"]) == {"3"}
     assert {"kernel.svd", "kernel.eig_hermitian", "kernel.cholesky", "kernel.qr_orthonormalize",
@@ -63,3 +63,5 @@ def test_bench_writes_every_row(tmp_path):
             "noncompact.BallPoint", "noncompact.ball_angles"} <= set(col["layers_us"]["3"])
     assert set(col["terms"]["3"]) == {"certificate", "birkhoff", "quasistochastic"}
     assert set(col["run_trials_ms_per_trial"]) == set(harness.SPACES)
+    assert col["cold_import_s"] > 0
+    assert col["cold_import_loads_scipy_optimize"] is False

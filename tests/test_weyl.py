@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +297,23 @@ class TestBirkhoff:
         assert len(terms) == 1
         assert terms[0][0] == pytest.approx(1.0)
         assert terms[0][1].perm == (1, 2, 0)
+
+    def test_scipy_optimize_loads_on_first_use(self):
+        # a fresh interpreter: the package and its CLI import without
+        # scipy.optimize, and the first decomposition loads it
+        child = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import grassgeo, grassgeo.cli
+            assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded on import"
+            terms = grassgeo.weyl.birkhoff_decompose(np.eye(3))
+            assert len(terms) == 1, terms
+            assert "scipy.optimize" in sys.modules, "scipy.optimize not loaded on use"
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(weyl.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
 
     def test_half_half(self):
         terms = weyl.birkhoff_decompose(np.full((2, 2), 0.5))
