@@ -6,9 +6,10 @@ microseconds per call): kernel factorizations, Jordan angles, H-curve build
 and evaluation, the majorization verdict, the certificate, both
 decompositions, posdef angles, ball point construction and ball angles.
 End to end it times `run_trials` (ms per trial, per space, p=3 q=4 n=4),
-one in-process CLI call (`triangle --certificate` at p=3), and a cold
-`import grassgeo.cli` (median seconds over --repeat fresh interpreters, and
-whether any of them loaded scipy.optimize).  A stamp records
+one in-process CLI call (`triangle --certificate` at p=3), and a cold start:
+`import grassgeo.cli` and then a first p=16 `birkhoff_decompose` (median
+seconds of each over --repeat fresh interpreters, and whether either loaded
+scipy.optimize).  A stamp records
 the grassgeo SHA, numpy and scipy versions, CPU count and BLAS threads; BLAS
 is pinned to one thread unless the environment says otherwise.
 
@@ -34,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
@@ -151,19 +153,33 @@ def cli_call_ms(repeat: int, min_time: float) -> float:
         return time_call(call, repeat, min_time) / 1e3
 
 
-def cold_import(runs: int):
-    """Median seconds to `import grassgeo.cli` in `runs` fresh interpreters,
-    and whether any of those imports loaded scipy.optimize."""
-    child = ("import sys, time; start = time.perf_counter(); import grassgeo.cli; "
-             "print(time.perf_counter() - start, 'scipy.optimize' in sys.modules)")
+def cold_start(runs: int) -> dict:
+    """Over `runs` fresh interpreters: median seconds to `import grassgeo.cli`,
+    then to run a first `birkhoff_decompose` of a fixed p=16 mix of 48
+    permutations, and whether any import or decomposition loaded scipy.optimize."""
+    child = textwrap.dedent(f"""
+        import sys, time
+        start = time.perf_counter()
+        import grassgeo.cli
+        imported = time.perf_counter()
+        loaded = 'scipy.optimize' in sys.modules
+        import numpy as np
+        rng = np.random.default_rng({SEED})
+        mix = sum(wt * np.eye(16)[rng.permutation(16)] for wt in rng.dirichlet(np.ones(48)))
+        start_decompose = time.perf_counter()
+        grassgeo.weyl.birkhoff_decompose(mix)
+        print(imported - start, loaded, time.perf_counter() - start_decompose,
+              'scipy.optimize' in sys.modules)
+    """)
     env = dict(os.environ, PYTHONPATH=str(Path(grassgeo.__file__).resolve().parent.parent))
-    seconds, loaded = [], False
-    for _ in range(runs):
-        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                             text=True, check=True).stdout.split()
-        seconds.append(float(out[0]))
-        loaded = loaded or out[1] == "True"
-    return statistics.median(seconds), loaded
+    rows = [subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                           text=True, check=True).stdout.split() for _ in range(runs)]
+    return {
+        "cold_import_s": statistics.median(float(r[0]) for r in rows),
+        "cold_import_loads_scipy_optimize": any(r[1] == "True" for r in rows),
+        "cold_first_decompose_s": statistics.median(float(r[2]) for r in rows),
+        "cold_decompose_loads_scipy_optimize": any(r[3] == "True" for r in rows),
+    }
 
 
 def stamp() -> dict:
@@ -203,7 +219,7 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=100, help="run_trials trials per space")
     args = ap.parse_args()
 
-    import_s, loads_optimize = cold_import(args.repeat)
+    cold = cold_start(args.repeat)
     layers, terms = {}, {}
     for p in args.sizes:
         calls = layer_calls(layer_inputs(p))
@@ -217,8 +233,7 @@ def main() -> int:
         "terms": terms,
         "run_trials_ms_per_trial": run_trials_ms(args.trials),
         "cli_triangle_certificate_ms": cli_call_ms(args.repeat, args.min_time),
-        "cold_import_s": import_s,
-        "cold_import_loads_scipy_optimize": loads_optimize,
+        **cold,
     }
 
     out = Path(args.out)

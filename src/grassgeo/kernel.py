@@ -36,7 +36,7 @@ def _check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 

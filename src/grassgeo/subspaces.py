@@ -46,7 +46,7 @@ class Subspace:
             raise DimensionMismatchError(
                 f"need 1 <= dim <= codim, got dim {p} in ambient dimension {n}"
             )
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise ValueError("frame contains non-finite entries")
         gram = f.conj().T @ f
         if np.linalg.norm(gram - np.eye(p)) > FRAME_TOL:

@@ -14,8 +14,8 @@ Membership criteria:
 Certificates are built at any p by one walk down the faces of the orbit
 polytope (`_face_walk`); only the vertex LP oracle (`vertex_lp_membership`,
 which cross-validates the criteria in the test suite) enumerates the
-group, capped at p <= 5.  scipy.optimize, which no verdict or certificate
-needs, is imported on first use (`birkhoff_decompose`, `linprog`).
+group, capped at p <= 5; only its `linprog` loads scipy.optimize, since
+`birkhoff_decompose` repairs one perfect matching by augmenting paths.
 """
 
 from __future__ import annotations
@@ -275,6 +275,22 @@ def _check_decomposable(a, signed: bool) -> np.ndarray:
     return a
 
 
+def _augment(support, match, owner, row) -> bool:
+    """Match free `row` by one breadth-first augmenting path over `support`; False if none."""
+    came, queue = {}, [row]  # came: column -> row it was reached from
+    for i in queue:
+        for j in support[i]:
+            if j not in came:
+                came[j] = i
+                if owner[j] is None:
+                    while j is not None:
+                        i = came[j]
+                        owner[j], match[i], j = i, j, match[i]
+                    return True
+                queue.append(owner[j])
+    return False
+
+
 def birkhoff_decompose(a: np.ndarray):
     """Write a bistochastic matrix as a convex combination of permutations.
 
@@ -282,24 +298,29 @@ def birkhoff_decompose(a: np.ndarray):
     most (p-1)^2 + 1 terms.  The standard constructive proof: repeatedly
     find a perfect matching on the positive support and subtract the
     smallest matched entry.  Each step empties at least one entry, so the
-    term count is set by the support of `a`: a matching chosen otherwise
-    (max-sum, bottleneck) saves few terms and costs more per step.
+    term count is set by the support of `a`.  One matching is kept (`match`
+    row -> column, `owner` column -> row, on Python lists): a step unmatches
+    the rows whose entry it emptied and `_augment` repairs each, about once.
     """
-    from scipy.optimize import linear_sum_assignment
     a = _check_decomposable(a, signed=False)
     p = a.shape[0]
-    rem = np.clip(a, 0.0, None).copy()
-    rows = np.arange(p)
-    terms = []
+    rem = np.clip(a, 0.0, None).tolist()
+    # entries at or below 1e-14 are rounding left by earlier subtractions;
+    # repairs try large entries first, which shortens quasistochastic expansions
+    support = [[j for j in sorted(range(p), key=r.__getitem__)[::-1] if r[j] > 1e-14] for r in rem]
+    match, owner, free, terms = [None] * p, [None] * p, range(p), []
     for _ in range((p - 1) ** 2 + 1):
-        # entries below 1e-14 are rounding left by earlier subtractions
-        _, match = linear_sum_assignment(rem > 1e-14, maximize=True)
-        vals = rem[rows, match]
-        weight = vals.min()
-        if not weight > 1e-14:  # the matching leaves the support
-            break
-        rem[rows, match] = vals - weight
-        terms.append((float(weight), SignedPermutation(match.tolist(), (1,) * p)))
+        if not all(_augment(support, match, owner, i) for i in free):
+            break  # no perfect matching on the support
+        weight = min(map(list.__getitem__, rem, match))
+        terms.append((weight, SignedPermutation(tuple(match), (1,) * p)))
+        free = []
+        for i, (r, j) in enumerate(zip(rem, match)):
+            r[j] -= weight
+            if r[j] <= 1e-14:
+                free.append(i)
+                support[i].remove(j)
+                match[i] = owner[j] = None
     return terms
 
 

@@ -13,13 +13,25 @@ from grassgeo import harness
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_cli_module_runs_main(tmp_path):
+    (tmp_path / "l.txt").write_text("1\n0\n")
+    (tmp_path / "r.txt").write_text("1\n1\n")
+    res = run_python("-m", "grassgeo.cli", "angles", "--left", str(tmp_path / "l.txt"),
+                     "--right", str(tmp_path / "r.txt"), "--degrees")
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(res.stdout)
+    assert doc["command"] == "angles"
+    assert doc["result"]["angles"] == pytest.approx([45.0], abs=1e-9)
 
 
 @pytest.mark.parametrize("args", [
@@ -53,7 +65,8 @@ def test_bench_writes_every_row(tmp_path):
     assert set(doc["columns"]) == {"before", "after"}
     col = doc["columns"]["after"]
     assert set(col) == {"stamp", "settings", "layers_us", "terms", "run_trials_ms_per_trial",
-                        "cli_triangle_certificate_ms", "cold_import_s", "cold_import_loads_scipy_optimize"}
+                        "cli_triangle_certificate_ms", "cold_import_s", "cold_import_loads_scipy_optimize",
+                        "cold_first_decompose_s", "cold_decompose_loads_scipy_optimize"}
     assert {"sha", "numpy", "scipy", "cpu_count", "blas_threads"} <= set(col["stamp"])
     assert set(col["layers_us"]) == set(col["terms"]) == {"3"}
     assert {"kernel.svd", "kernel.eig_hermitian", "kernel.cholesky", "kernel.qr_orthonormalize",
@@ -65,3 +78,5 @@ def test_bench_writes_every_row(tmp_path):
     assert set(col["run_trials_ms_per_trial"]) == set(harness.SPACES)
     assert col["cold_import_s"] > 0
     assert col["cold_import_loads_scipy_optimize"] is False
+    assert col["cold_first_decompose_s"] > 0
+    assert col["cold_decompose_loads_scipy_optimize"] is False

@@ -97,6 +97,12 @@ def check_decomposition(terms, a, bound):
     assert np.max(np.abs(reconstruct(terms) - a)) <= 1e-12
 
 
+def check_birkhoff(terms, a):
+    """check_decomposition at Birkhoff's bound, every weight above the 1e-14 support threshold."""
+    check_decomposition(terms, a, (len(a) - 1) ** 2 + 1)
+    assert min(wt for wt, _ in terms) > 1e-14
+
+
 def random_bistochastic_mix(rng, p, k):
     """Random convex combination of k permutation matrices."""
     a = np.zeros((p, p))
@@ -298,17 +304,23 @@ class TestBirkhoff:
         assert terms[0][0] == pytest.approx(1.0)
         assert terms[0][1].perm == (1, 2, 0)
 
-    def test_scipy_optimize_loads_on_first_use(self):
-        # a fresh interpreter: the package and its CLI import without
-        # scipy.optimize, and the first decomposition loads it
+    def test_decompositions_leave_scipy_optimize_unloaded(self):
+        # a fresh interpreter: the package, its CLI and both decompositions
+        # run without loading scipy.optimize
         child = textwrap.dedent("""
             import sys
             import numpy as np
             import grassgeo, grassgeo.cli
-            assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded on import"
-            terms = grassgeo.weyl.birkhoff_decompose(np.eye(3))
-            assert len(terms) == 1, terms
-            assert "scipy.optimize" in sys.modules, "scipy.optimize not loaded on use"
+            from grassgeo import harness, weyl
+            rng = np.random.default_rng(13)
+            a = np.zeros((16, 16))
+            for wt in rng.dirichlet(np.ones(48)):
+                a += wt * np.eye(16)[rng.permutation(16)]
+            q = harness.random_rotation(5, "real", rng) * harness.random_rotation(5, "real", rng)
+            for m, terms in ((a, weyl.birkhoff_decompose(a)), (q, weyl.quasistochastic_decompose(q))):
+                rebuilt = sum(wt * w.matrix() for wt, w in terms)
+                assert np.max(np.abs(rebuilt - m)) <= 1e-12, np.max(np.abs(rebuilt - m))
+            assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded"
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(weyl.__file__).resolve().parents[1]))
         res = subprocess.run([sys.executable, "-c", child], env=env,
@@ -333,6 +345,42 @@ class TestBirkhoff:
     def test_mix_at_p16(self, rng):
         a = random_bistochastic_mix(rng, 16, 48)
         check_decomposition(weyl.birkhoff_decompose(a), a, 15 ** 2 + 1)
+
+    def test_matching_is_rerouted(self, monkeypatch):
+        # on the support of I, the cyclic shift C and P, with entries distinct
+        # in every row, one repair moves an already matched row: an augmenting
+        # path of length >= 3
+        eye = np.eye(4)
+        a = 0.45 * eye + 0.35 * np.roll(eye, 1, axis=1) + 0.2 * eye[[2, 0, 1, 3]]
+        moved, augment = [], weyl._augment
+
+        def spy(support, match, owner, row):
+            before = list(match)
+            found = augment(support, match, owner, row)
+            moved.append(sum(b is not None and b != m for b, m in zip(before, match)))
+            return found
+
+        monkeypatch.setattr(weyl, "_augment", spy)
+        check_birkhoff(weyl.birkhoff_decompose(a), a)
+        assert max(moved) >= 1
+
+    def test_augmenting_path_flips_every_edge(self):
+        # row 1 reaches free column 1 only through row 0's column 0
+        match, owner = [0, None], [0, None]
+        assert weyl._augment([[0, 1], [0]], match, owner, 1)
+        assert (match, owner) == ([1, 0], [1, 0])
+        assert not weyl._augment([[0], [0]], [0, None], [0, None], 1)
+
+    def test_mix_at_p64(self, rng):
+        a = random_bistochastic_mix(rng, 64, 3 * 64)
+        check_birkhoff(weyl.birkhoff_decompose(a), a)
+
+    def test_rounding_dust_off_the_support(self, rng):
+        a = random_bistochastic_mix(rng, 6, 4)
+        dust = np.where(a == 0, rng.uniform(0.0, 1e-14, a.shape), 0.0)
+        terms = weyl.birkhoff_decompose(a + dust)
+        check_birkhoff(terms, a)
+        assert all(np.all(w.matrix()[a == 0] == 0) for _, w in terms)
 
     def test_rejects_bad_sums(self):
         with pytest.raises(ValueError, match="row-sum"):
