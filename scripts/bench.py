@@ -5,13 +5,14 @@ The layer matrix times each layer's public call at p in --sizes (median
 microseconds per call): kernel factorizations, Jordan angles, H-curve build
 and evaluation, the majorization verdict, the certificate, both
 decompositions, posdef angles, ball point construction and ball angles.
-End to end it times `run_trials` (ms per trial, per space, p=3 q=4 n=4),
-one in-process CLI call (`triangle --certificate` at p=3), and a cold start:
-`import grassgeo.cli` and then a first p=16 `birkhoff_decompose` (median
-seconds of each over --repeat fresh interpreters, and whether either loaded
-scipy.optimize).  A stamp records
-the grassgeo SHA, numpy and scipy versions, CPU count and BLAS threads; BLAS
-is pinned to one thread unless the environment says otherwise.
+End to end it times `run_trials` (ms per trial, per space, p=3 q=4 n=4:
+the median over --repeat runs of --trials trials), one in-process CLI call
+(`triangle --certificate` at p=3), and a cold start: `import grassgeo.cli`
+and then a first p=16 `birkhoff_decompose` (median seconds of each over
+--repeat fresh interpreters, and whether either loaded scipy.optimize).
+A stamp records the grassgeo SHA, numpy and scipy versions, CPU count and
+BLAS threads; BLAS is pinned to one thread unless the environment says
+otherwise.
 
 An existing output file keeps its other columns, so the same file can hold a
 baseline and a change measured one after the other on one machine:
@@ -124,14 +125,18 @@ def term_counts(calls: dict) -> dict:
     }
 
 
-def run_trials_ms(trials: int) -> dict:
+def run_trials_ms(trials: int, repeat: int) -> dict:
+    """Per space, median over `repeat` runs of `trials` trials of milliseconds per trial."""
     out = {}
     for space in harness.SPACES:
         cfg = harness.TrialConfig(space=space, p=3, q=4, n=4, trials=trials, seed=SEED)
         harness.run_trials(dataclasses.replace(cfg, trials=1))  # warm up
-        start = time.perf_counter()
-        harness.run_trials(cfg)
-        out[space] = (time.perf_counter() - start) / trials * 1e3
+        samples = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            harness.run_trials(cfg)
+            samples.append((time.perf_counter() - start) / trials * 1e3)
+        out[space] = statistics.median(samples)
     return out
 
 
@@ -231,7 +236,7 @@ def main() -> int:
                      "trials": args.trials, "seed": SEED},
         "layers_us": layers,
         "terms": terms,
-        "run_trials_ms_per_trial": run_trials_ms(args.trials),
+        "run_trials_ms_per_trial": run_trials_ms(args.trials, args.repeat),
         "cli_triangle_certificate_ms": cli_call_ms(args.repeat, args.min_time),
         **cold,
     }

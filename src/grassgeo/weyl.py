@@ -37,7 +37,13 @@ ENUMERATION_CAP = 5  # exact vertex enumeration bound (2^p * p! vertices)
 
 @dataclass(frozen=True)
 class SignedPermutation:
-    """Element of the hyperoctahedral group: w(x)_i = signs[i] * x[perm[i]]."""
+    """Element of the hyperoctahedral group: w(x)_i = signs[i] * x[perm[i]].
+
+    The constructor checks its input and stores tuples of Python ints.  The
+    elements `weyl` builds itself are valid by construction and skip the
+    check (`_trusted`): it would be about a third of the cost of a p = 16
+    Birkhoff decomposition.
+    """
 
     perm: tuple
     signs: tuple
@@ -56,8 +62,16 @@ class SignedPermutation:
         return len(self.perm)
 
     @classmethod
+    def _trusted(cls, perm: tuple, signs: tuple) -> "SignedPermutation":
+        """Element from tuples of Python ints known to be valid, unchecked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "perm", perm)
+        object.__setattr__(w, "signs", signs)
+        return w
+
+    @classmethod
     def identity(cls, p: int) -> "SignedPermutation":
-        return cls(tuple(range(p)), (1,) * p)
+        return cls._trusted(tuple(range(p)), (1,) * p)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -216,7 +230,7 @@ def _face_walk(x: np.ndarray, psi: np.ndarray, signed: bool):
         end[start[k]:k + 1] = [k] * (k + 1 - start[k])
         free = max(free, k + 1)
     terms.append((rest, vertex))
-    return [(wt, SignedPermutation(*w)) for wt, w in terms]
+    return [(wt, SignedPermutation._trusted(tuple(perm), tuple(signs))) for wt, (perm, signs) in terms]
 
 
 def linprog(*args, **kwargs):
@@ -309,11 +323,12 @@ def birkhoff_decompose(a: np.ndarray):
     # repairs try large entries first, which shortens quasistochastic expansions
     support = [[j for j in sorted(range(p), key=r.__getitem__)[::-1] if r[j] > 1e-14] for r in rem]
     match, owner, free, terms = [None] * p, [None] * p, range(p), []
+    plus = (1,) * p
     for _ in range((p - 1) ** 2 + 1):
         if not all(_augment(support, match, owner, i) for i in free):
             break  # no perfect matching on the support
         weight = min(map(list.__getitem__, rem, match))
-        terms.append((weight, SignedPermutation(tuple(match), (1,) * p)))
+        terms.append((weight, SignedPermutation._trusted(tuple(match), plus)))
         free = []
         for i, (r, j) in enumerate(zip(rem, match)):
             r[j] -= weight
@@ -341,15 +356,14 @@ def quasistochastic_decompose(a: np.ndarray):
         fill = np.diff(np.minimum(np.cumsum(col_gap), row_gap), prepend=0.0)
         b[i] += fill
         col_gap -= fill
-    terms = []
-    idx = np.arange(len(a))
+    terms, al, bl = [], a.tolist(), b.tolist()
     for weight, w in birkhoff_decompose(b):
         match = w.perm
-        u = (1 + np.clip(a[idx, match] / b[idx, match], -1, 1)) / 2
-        cuts = np.unique(np.concatenate([[0.0], u, [1.0]]))
-        signs = np.where(u > cuts[:-1, None], 1, -1).tolist()
-        weights = (weight * np.diff(cuts)).tolist()
-        terms += [(wt, SignedPermutation(match, s)) for wt, s in zip(weights, signs)]
+        u = [(1 + min(max(r[j] / s[j], -1.0), 1.0)) / 2 for r, s, j in zip(al, bl, match)]
+        cuts = sorted({0.0, 1.0, *u})
+        for lo, hi in zip(cuts, cuts[1:]):
+            signs = tuple(1 if x > lo else -1 for x in u)
+            terms.append((weight * (hi - lo), SignedPermutation._trusted(match, signs)))
     return terms
 
 

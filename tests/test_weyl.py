@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,13 +71,23 @@ def array_face_walk(x, psi, signed):
     return terms
 
 
+def check_elements(terms):
+    """Every term's element is one the public constructor accepts and equals,
+    stored as tuples of Python ints."""
+    for _, w in terms:
+        assert weyl.SignedPermutation(w.perm, w.signs) == w
+        assert type(w.perm) is tuple and type(w.signs) is tuple
+        assert all(type(v) is int for v in w.perm + w.signs)
+
+
 def check_certificates(cases, group, p):
-    """Each certificate: weights >= 0 summing to 1, at most p + 1 terms (p for
-    permutations), rebuilding x up to twice its violation of the hull, and
-    identical to the array form of the walk."""
+    """Each certificate: valid elements, weights >= 0 summing to 1, at most
+    p + 1 terms (p for permutations), rebuilding x up to twice its violation
+    of the hull, and identical to the array form of the walk."""
     for x, psi in cases:
         res = weyl.orbit_membership(x, psi, group, want_certificate=True)
         assert res.inside
+        check_elements(res.certificate)
         assert [(wt, w.perm, w.signs) for wt, w in res.certificate] == array_face_walk(
             np.asarray(x, dtype=float), np.asarray(psi, dtype=float), group == "signed")
         weights = np.array([wt for wt, _ in res.certificate])
@@ -90,7 +101,8 @@ def check_certificates(cases, group, p):
 
 
 def check_decomposition(terms, a, bound):
-    """Positive weights summing to 1, at most `bound` terms, rebuilding `a`."""
+    """Valid elements, positive weights summing to 1, at most `bound` terms, rebuilding `a`."""
+    check_elements(terms)
     weights = np.array([wt for wt, _ in terms])
     assert np.all(weights > 0) and abs(weights.sum() - 1) <= 1e-12
     assert len(terms) <= bound
@@ -113,6 +125,31 @@ def random_bistochastic_mix(rng, p, k):
 
 def random_bistochastic(rng, p):
     return random_bistochastic_mix(rng, p, int(rng.integers(1, 2 * p + 1)))
+
+
+def output_digest(terms):
+    """SHA-256 over every term in order: weight as float.hex, then perm and signs."""
+    text = "".join(f"{wt.hex()} {w.perm} {w.signs}\n" for wt, w in terms)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pinned_outputs():
+    """Name -> terms of three fixed inputs: a p = 16 Birkhoff mix, a p = 5
+    quasistochastic mix of signed permutations and a p = 8 signed certificate."""
+    rng = np.random.default_rng(16)
+    mix = random_bistochastic_mix(rng, 16, 48)
+    rng = np.random.default_rng(5)
+    signed_mix = sum(wt * rng.choice([-1.0, 1.0], (5, 1)) * np.eye(5)[rng.permutation(5)]
+                     for wt in rng.dirichlet(np.ones(12)))
+    rng = np.random.default_rng(8)
+    psi = np.abs(rng.standard_normal(8))
+    x = sum(wt * rng.choice([-1.0, 1.0], 8) * psi[rng.permutation(8)]
+            for wt in rng.dirichlet(np.ones(6)))
+    return {
+        "birkhoff": weyl.birkhoff_decompose(mix),
+        "quasistochastic": weyl.quasistochastic_decompose(signed_mix),
+        "certificate": weyl.orbit_membership(x, psi, "signed", want_certificate=True).certificate,
+    }
 
 
 class TestSignedPermutation:
@@ -143,6 +180,13 @@ class TestSignedPermutation:
             assert json.loads(json.dumps(cli._perm_out(w))) == {"perm": [1, 0], "signs": [1, -1]}
             assert type(w.perm) is tuple and type(w.signs) is tuple
             assert all(type(v) is int for v in w.perm + w.signs)
+
+    @pytest.mark.parametrize("p", [1, 3, 16])
+    def test_identity(self, p):
+        w = weyl.SignedPermutation.identity(p)
+        check_elements([(1.0, w)])
+        assert w.perm == tuple(range(p)) and w.signs == (1,) * p
+        assert np.array_equal(w.matrix(), np.eye(p))
 
     def test_group_sizes(self):
         assert len(weyl.enumerate_group(3, signed=True)) == 48
@@ -332,7 +376,7 @@ class TestBirkhoff:
         assert len(terms) == 2
         assert sorted(t[0] for t in terms) == pytest.approx([0.5, 0.5])
 
-    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_random_bistochastic(self, rng, p):
         for _ in range(8):
             k = int(rng.integers(1, 7))
@@ -418,6 +462,15 @@ class TestQuasistochastic:
             a = u * v
             check_decomposition(weyl.quasistochastic_decompose(a), a, max_terms(p))
 
+    def test_cuts_at_zero_half_and_one(self):
+        # row 2 is empty, so b fills it: the ratios along the matching are
+        # +1, -1 and 0, and the thresholds cut at u = 1, 0 and 1/2
+        a = np.diag([1.0, -1.0, 0.0])
+        terms = weyl.quasistochastic_decompose(a)
+        check_decomposition(terms, a, max_terms(3))
+        assert [(wt, w.perm, w.signs) for wt, w in terms] == [
+            (0.5, (0, 1, 2), (1, -1, 1)), (0.5, (0, 1, 2), (1, -1, -1))]
+
     def test_rejects_excess_row_sum(self):
         with pytest.raises(ValueError, match="quasistochastic"):
             weyl.quasistochastic_decompose(np.array([[0.9, 0.3], [0.0, 0.5]]))
@@ -430,6 +483,22 @@ class TestQuasistochastic:
     def test_rejects_empty(self):
         with pytest.raises(DimensionMismatchError, match="nonempty"):
             weyl.quasistochastic_decompose(np.zeros((0, 0)))
+
+
+class TestPinnedOutputs:
+    # SHA-256 of pinned_outputs(): any change to a term, to the order of the
+    # terms or to the last bit of a weight fails
+    DIGESTS = {
+        "birkhoff": "3b94fcb9cbf6e27e4cb994475bccc9e9ba28a4052141a52929bd41f008016777",
+        "quasistochastic": "1e71be0d2ca0518f8f18138f222e7d2575146211c9b51985356ef62414dcba8f",
+        "certificate": "43070509ffff882f548e85044ab33323d7a1b2ae66baaee4edcd119270ad462e",
+    }
+
+    def test_bit_for_bit(self):
+        outputs = pinned_outputs()
+        assert {name: len(terms) for name, terms in outputs.items()} == {
+            "birkhoff": 220, "quasistochastic": 48, "certificate": 9}
+        assert {name: output_digest(terms) for name, terms in outputs.items()} == self.DIGESTS
 
 
 class TestFanKyDiagonal:
