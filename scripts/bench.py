@@ -9,7 +9,8 @@ End to end it times `run_trials` (ms per trial, per space, p=3 q=4 n=4:
 the median over --repeat runs of --trials trials), one in-process CLI call
 (`triangle --certificate` at p=3), and a cold start: `import grassgeo.cli`
 and then a first p=16 `birkhoff_decompose` (median seconds of each over
---repeat fresh interpreters, and whether either loaded scipy.optimize).
+--repeat fresh interpreters, whether either loaded scipy.optimize, whether
+the import loaded scipy.linalg, and the peak RSS after the import).
 A stamp records the grassgeo SHA, numpy and scipy versions, CPU count and
 BLAS threads; BLAS is pinned to one thread unless the environment says
 otherwise.
@@ -161,20 +162,24 @@ def cli_call_ms(repeat: int, min_time: float) -> float:
 def cold_start(runs: int) -> dict:
     """Over `runs` fresh interpreters: median seconds to `import grassgeo.cli`,
     then to run a first `birkhoff_decompose` of a fixed p=16 mix of 48
-    permutations, and whether any import or decomposition loaded scipy.optimize."""
+    permutations, whether any import or decomposition loaded scipy.optimize,
+    whether any import loaded scipy.linalg, and the median peak RSS (MB) of
+    the interpreter just after the import."""
     child = textwrap.dedent(f"""
-        import sys, time
+        import resource, sys, time
         start = time.perf_counter()
         import grassgeo.cli
         imported = time.perf_counter()
         loaded = 'scipy.optimize' in sys.modules
+        linalg = 'scipy.linalg' in sys.modules
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         import numpy as np
         rng = np.random.default_rng({SEED})
         mix = sum(wt * np.eye(16)[rng.permutation(16)] for wt in rng.dirichlet(np.ones(48)))
         start_decompose = time.perf_counter()
         grassgeo.weyl.birkhoff_decompose(mix)
         print(imported - start, loaded, time.perf_counter() - start_decompose,
-              'scipy.optimize' in sys.modules)
+              'scipy.optimize' in sys.modules, linalg, rss_mb)
     """)
     env = dict(os.environ, PYTHONPATH=str(Path(grassgeo.__file__).resolve().parent.parent))
     rows = [subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
@@ -184,6 +189,8 @@ def cold_start(runs: int) -> dict:
         "cold_import_loads_scipy_optimize": any(r[1] == "True" for r in rows),
         "cold_first_decompose_s": statistics.median(float(r[2]) for r in rows),
         "cold_decompose_loads_scipy_optimize": any(r[3] == "True" for r in rows),
+        "cold_import_loads_scipy_linalg": any(r[4] == "True" for r in rows),
+        "cold_import_rss_mb": statistics.median(float(r[5]) for r in rows),
     }
 
 

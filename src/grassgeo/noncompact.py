@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import kernel, metrics, weyl
 from .errors import DimensionMismatchError
@@ -82,7 +81,7 @@ def posdef_angles(left: PosDefPoint, right: PosDefPoint) -> np.ndarray:
     from a whitened square, they stay accurate at large condition numbers.
     """
     _check_same_size(left, right)
-    x = solve_triangular(right.factor, left.factor.conj().T, trans="C", check_finite=False)
+    x = kernel.solve_upper_adjoint(right.factor, left.factor.conj().T)
     return 2.0 * np.log(kernel.singular_values(x))
 
 

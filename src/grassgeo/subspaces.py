@@ -207,7 +207,7 @@ def principal_vectors(left: Subspace, right: Subspace) -> PrincipalPair:
     completion qm of q* right gives the angles, e = q[:, :p] u1 and
     g = q[:, p:] u2, with q qm[:, :p] v1 = e cos(angles) + g sin(angles).
     So (e, g) is jointly orthonormal by construction, repeated angles need
-    no pairing, and angles near 0 and pi/2 are accurate to rounding.
+    no pairing, and the angles are accurate to about 1e-14 absolute.
     """
     _check_pair(left, right)
     p = left.dim

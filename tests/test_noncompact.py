@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from grassgeo import kernel
 from grassgeo import noncompact as nc
@@ -116,6 +117,23 @@ class TestPosDefAngles:
             exact = np.sort((alpha - beta) * np.log(10.0))[::-1]
             worst = max(worst, np.max(np.abs(nc.posdef_angles(a, b) - exact)))
         assert worst <= 1e-7
+
+    @pytest.mark.parametrize("p", [3, 8, 16])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_solve_matches_scipy_bit_for_bit(self, rng, p, field):
+        # kernel's trtrs call is the one scipy's solve_triangular(trans="C")
+        # makes, so the angles keep every bit; half the draws are conditioned
+        # up to 1e8
+        for k in range(20):
+            if k % 2:
+                q = random_rotation(p, field, rng)
+                a, b = (PosDefPoint((q * 10.0**e) @ q.conj().T) for e in rng.uniform(-8.0, 0.0, (2, p)))
+            else:
+                a, b = random_posdef(p, field, rng), random_posdef(p, field, rng)
+            x = solve_triangular(b.factor, a.factor.conj().T, trans="C", check_finite=False)
+            assert np.array_equal(kernel.solve_upper_adjoint(b.factor, a.factor.conj().T), x)
+            expected = [float(v).hex() for v in 2.0 * np.log(kernel.singular_values(x))]
+            assert [float(v).hex() for v in nc.posdef_angles(a, b)] == expected
 
 
 class TestPosDefTriangle:

@@ -66,7 +66,8 @@ def test_bench_writes_every_row(tmp_path):
     col = doc["columns"]["after"]
     assert set(col) == {"stamp", "settings", "layers_us", "terms", "run_trials_ms_per_trial",
                         "cli_triangle_certificate_ms", "cold_import_s", "cold_import_loads_scipy_optimize",
-                        "cold_first_decompose_s", "cold_decompose_loads_scipy_optimize"}
+                        "cold_first_decompose_s", "cold_decompose_loads_scipy_optimize",
+                        "cold_import_loads_scipy_linalg", "cold_import_rss_mb"}
     assert {"sha", "numpy", "scipy", "cpu_count", "blas_threads"} <= set(col["stamp"])
     assert set(col["layers_us"]) == set(col["terms"]) == {"3"}
     assert {"kernel.svd", "kernel.eig_hermitian", "kernel.cholesky", "kernel.qr_orthonormalize",
@@ -80,3 +81,5 @@ def test_bench_writes_every_row(tmp_path):
     assert col["cold_import_loads_scipy_optimize"] is False
     assert col["cold_first_decompose_s"] > 0
     assert col["cold_decompose_loads_scipy_optimize"] is False
+    assert col["cold_import_loads_scipy_linalg"] is False
+    assert col["cold_import_rss_mb"] > 0

@@ -348,26 +348,58 @@ class TestBirkhoff:
         assert terms[0][0] == pytest.approx(1.0)
         assert terms[0][1].perm == (1, 2, 0)
 
-    def test_decompositions_leave_scipy_optimize_unloaded(self):
-        # a fresh interpreter: the package, its CLI and both decompositions
-        # run without loading scipy.optimize
+    def test_decompositions_leave_scipy_optimize_unloaded(self, tmp_path):
+        # a fresh interpreter: the package, its CLI, angles, certificates,
+        # both decompositions, the ball and Lidskii run without loading any
+        # of scipy; the first Cholesky, posdef solve and CS decomposition
+        # load scipy.linalg and give correct results
         child = textwrap.dedent("""
-            import sys
+            import contextlib, io, sys
+            from pathlib import Path
             import numpy as np
             import grassgeo, grassgeo.cli
-            from grassgeo import harness, weyl
+            from grassgeo import cli, harness, metrics, noncompact, subspaces, weyl
             rng = np.random.default_rng(13)
+            l, m, n = (harness.random_subspace(3, 4, "real", rng) for _ in range(3))
+            assert np.all(np.diff(subspaces.jordan_angles(l, m)) >= 0)
+            report = metrics.triangle_check(l, m, n, want_certificate=True)
+            assert report.inside and report.certificate
             a = np.zeros((16, 16))
             for wt in rng.dirichlet(np.ones(48)):
                 a += wt * np.eye(16)[rng.permutation(16)]
             q = harness.random_rotation(5, "real", rng) * harness.random_rotation(5, "real", rng)
-            for m, terms in ((a, weyl.birkhoff_decompose(a)), (q, weyl.quasistochastic_decompose(q))):
+            for mat, terms in ((a, weyl.birkhoff_decompose(a)), (q, weyl.quasistochastic_decompose(q))):
                 rebuilt = sum(wt * w.matrix() for wt, w in terms)
-                assert np.max(np.abs(rebuilt - m)) <= 1e-12, np.max(np.abs(rebuilt - m))
-            assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded"
+                assert np.max(np.abs(rebuilt - mat)) <= 1e-12, np.max(np.abs(rebuilt - mat))
+            t, s = (harness.random_ball_point(3, rng) for _ in range(2))
+            assert np.all(noncompact.ball_angles(t, s) > 0)
+            x, z = (harness.random_hermitian(3, "complex", rng) for _ in range(2))
+            assert noncompact.lidskii_check(x, z).inside
+            files = {}
+            for name, mat in (("l", l.frame), ("m", m.frame), ("n", n.frame), ("q", q),
+                              ("t", t.matrix), ("s", s.matrix)):
+                files[name] = Path(sys.argv[1], name)
+                files[name].write_text(cli.format_matrix(mat) + "\\n")
+            for argv in (["angles", "--left", "l", "--right", "m"],
+                         ["triangle", "--l", "l", "--m", "m", "--n", "n", "--certificate"],
+                         ["decompose", "--matrix", "q", "--signed"],
+                         ["ball-angles", "--t", "t", "--s", "s"]):
+                argv = [str(files.get(arg, arg)) for arg in argv]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.dispatch(argv) == 0, argv
+            loaded = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+            assert not loaded, loaded
+            g, h = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+            left, right = (noncompact.PosDefPoint(b @ b.conj().T + np.eye(3)) for b in (g, h))
+            logs = np.log(np.linalg.eigvals(np.linalg.solve(right.matrix, left.matrix)).real)
+            assert np.allclose(noncompact.posdef_angles(left, right), np.sort(logs)[::-1], atol=1e-12)
+            curve = metrics.hcurve_between(l, m)
+            assert np.allclose(curve.a, subspaces.jordan_angles(l, m), atol=1e-12)
+            assert np.max(subspaces.jordan_angles(metrics.hcurve_eval(curve, 1.0), m)) < 1e-12
+            assert "scipy.linalg" in sys.modules
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(weyl.__file__).resolve().parents[1]))
-        res = subprocess.run([sys.executable, "-c", child], env=env,
+        res = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env,
                              capture_output=True, text=True, timeout=120)
         assert res.returncode == 0, res.stderr
 
