@@ -17,12 +17,13 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--space", choices=harness.SPACES, default=None,
                     help="restrict to one space (default: all)")
-    ap.add_argument("--p", type=int, default=3)
-    ap.add_argument("--q", type=int, default=4)
-    ap.add_argument("--n", type=int, default=4)
-    ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tolerance", type=float, default=1e-8)
+    defaults = harness.TrialConfig
+    ap.add_argument("--p", type=int, default=defaults.p)
+    ap.add_argument("--q", type=int, default=defaults.q)
+    ap.add_argument("--n", type=int, default=defaults.n)
+    ap.add_argument("--trials", type=int, default=defaults.trials)
+    ap.add_argument("--seed", type=int, default=defaults.seed)
+    ap.add_argument("--tolerance", type=float, default=defaults.tolerance)
     ap.add_argument("--json", metavar="PATH", help="also dump all reports as JSON")
     args = ap.parse_args()
 

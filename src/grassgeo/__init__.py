@@ -40,10 +40,8 @@ from .subspaces import (  # noqa: F401
     Subspace,
     TangentVector,
     angle_rate,
-    angles_from_gram,
     geodesic_transport,
     jordan_angles,
-    minimax_probe,
     principal_vectors,
     tangent_invariants,
 )

@@ -123,8 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Jordan angles, invariant distances and triangle certification",
     )
     parser.add_argument("--tol", type=float,
-                        help="boundary tolerance for membership verdicts (default 1e-9), "
-                             "or check tolerance for fuzz (default 1e-8)")
+                        help="boundary tolerance for membership verdicts "
+                             f"(default {weyl.BOUNDARY_TOL:g}), or check tolerance for fuzz "
+                             f"(default {harness.TrialConfig.tolerance:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("angles", help="Jordan angles between the spans of two matrices")
@@ -173,12 +174,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="seeded property-check trials")
     p.add_argument("--space", required=True, choices=harness.SPACES)
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--q", type=int, default=4)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
+    defaults = harness.TrialConfig
+    p.add_argument("--p", type=int, default=defaults.p)
+    p.add_argument("--q", type=int, default=defaults.q)
+    p.add_argument("--n", type=int, default=defaults.n)
+    p.add_argument("--trials", type=int, default=defaults.trials)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--norms", default="l1,l2,linf,kyfan2")
+    p.add_argument("--norms", default=",".join(defaults.norms))
 
     return parser
 

@@ -98,7 +98,7 @@ class TrialConfig:
     trials: int = 100
     seed: int = 0
     tolerance: float = 1e-8
-    norms: tuple = ("l1", "l2", "linf", "kyfan2")
+    norms: tuple = metrics.BUILTIN_NORMS
 
     def __post_init__(self):
         if self.space not in SPACES:

@@ -5,9 +5,9 @@ with orthonormal columns).  The angles between two such subspaces L and M
 are read from the sines (singular values of M - L L* M) where cos^2 > 1/2
 and from the cosines (singular values of L* M) elsewhere, so small angles
 keep relative accuracy.  Principal vectors, with the angles again, come
-from one LAPACK CS decomposition, a route independent of that split; the
-Gram route takes nonorthogonal bases.  The module also has tangent vectors
-with their invariants and the first-order angle rates.
+from one LAPACK CS decomposition, a route independent of that split.  The
+module also has tangent vectors with their invariants and the first-order
+angle rates.
 """
 
 from __future__ import annotations
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import (
-    DegenerateConfigurationError,
-    DimensionMismatchError,
-    NotPositiveDefiniteError,
-)
+from .errors import DegenerateConfigurationError, DimensionMismatchError
 
 FRAME_TOL = 1e-10
 GENERICITY_MARGIN = 1e-6
@@ -168,36 +164,6 @@ def jordan_angles(left: Subspace, right: Subspace) -> np.ndarray:
     return np.concatenate([from_sines, _angles_from_cosines(cosines[k:])])
 
 
-def angles_from_gram(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Jordan angles from Gram data of two (possibly nonorthogonal) bases.
-
-    `u` and `v` are the Gram matrices of bases of the two subspaces and `w`
-    the cross-Gram; the squared cosines are the eigenvalues of
-    inv(u) @ w @ inv(v) @ w*.  Computed stably via Cholesky whitening.
-
-    The cosines round to 1 for angles below about 1e-8, which come out 0;
-    measured absolute error is up to 1.5e-7 for orthonormal bases and
-    2.3 sqrt(eps max(cond u, cond v)) for skewed ones (12,000 draws, p <= 8).
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    w = np.asarray(w)
-    if u.shape[0] != w.shape[0] or v.shape[0] != w.shape[1]:
-        raise DimensionMismatchError(
-            f"incompatible Gram shapes {u.shape}, {v.shape}, {w.shape}"
-        )
-    try:
-        ru = kernel.cholesky(u)
-        rv = kernel.cholesky(v)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"degenerate basis: {exc}", pivot=exc.pivot) from exc
-    # whitened cross-Gram: inv(ru*) @ w @ inv(rv); its singular values are
-    # the cosines
-    x = np.linalg.solve(ru.conj().T, w)
-    b = np.linalg.solve(rv.conj().T, x.conj().T).conj().T
-    return _angles_from_cosines(kernel.singular_values(b))
-
-
 def principal_vectors(left: Subspace, right: Subspace) -> PrincipalPair:
     """Paired orthonormal bases diagonalizing the cross-Gram matrix.
 
@@ -219,46 +185,6 @@ def principal_vectors(left: Subspace, right: Subspace) -> PrincipalPair:
     g = q[:, p:] @ u2
     f = e * np.cos(angles) + g * np.sin(angles)
     return PrincipalPair(e, f, np.cos(angles), angles, g)
-
-
-def minimax_probe(
-    left: Subspace,
-    right: Subspace,
-    k: int,
-    trials: int = 100,
-    rng=None,
-):
-    """Check the min-max characterization of the k-th cosine.
-
-    Returns (certified_value, max_violation).  The certified value is the
-    inner min-max evaluated on the span of the top-k principal vectors of
-    `left`; it equals the k-th largest cosine.  For `trials` random k-dim
-    subspaces of `left` the inner min-max never exceeds that value (up to
-    roundoff); max_violation reports the worst observed excess.
-    """
-    _check_pair(left, right)
-    p = left.dim
-    if not 1 <= k <= p:
-        raise ValueError(f"k must be in 1..{p}, got {k}")
-    rng = np.random.default_rng(rng)
-    pair = principal_vectors(left, right)
-
-    def inner_value(p_frame: np.ndarray) -> float:
-        # for unit v in P, max over unit w in M of <v, w> is |proj_M v|;
-        # minimizing over the unit sphere of P gives the smallest singular
-        # value of the compression
-        return float(kernel.singular_values(right.frame.conj().T @ p_frame)[-1])
-
-    certified = inner_value(pair.e_basis[:, :k])
-    lam_k = float(pair.cosines[k - 1])
-    worst = -np.inf
-    for _ in range(trials):
-        coeff = rng.standard_normal((p, k))
-        if left.is_complex:
-            coeff = coeff + 1j * rng.standard_normal((p, k))
-        p_frame = left.frame @ kernel.qr_orthonormalize(coeff)
-        worst = max(worst, inner_value(p_frame) - lam_k)
-    return certified, worst
 
 
 def tangent_invariants(h: TangentVector) -> np.ndarray:

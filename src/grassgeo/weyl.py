@@ -249,15 +249,6 @@ def vertex_lp_membership(x, psi, group: str = "signed") -> bool:
     return bool(res.success)
 
 
-def reconstruct_certificate(certificate, psi: np.ndarray) -> np.ndarray:
-    """Point represented by a certificate: sum of weight * w(psi)."""
-    psi = np.asarray(psi, dtype=float)
-    out = np.zeros_like(psi)
-    for weight, w in certificate:
-        out = out + weight * w.apply(psi)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # decompositions
 

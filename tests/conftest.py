@@ -17,6 +17,16 @@ def random_matrix(rng, shape, cplx=False):
     return a
 
 
+def block_pair(angles, q_extra=0):
+    """Canonical pair: L the first p coordinate axes, M rotated plane-by-plane."""
+    p = len(angles)
+    n = 2 * p + q_extra
+    e = np.eye(n)
+    l_frame = e[:, :p]
+    m_cols = [np.cos(a) * e[:, j] + np.sin(a) * e[:, p + j] for j, a in enumerate(angles)]
+    return sub.Subspace(l_frame), sub.Subspace(np.column_stack(m_cols))
+
+
 def richardson_rate(l, m, h, step):
     """Angle rates by Richardson-extrapolated central differences, O(step^4)."""
 

@@ -6,16 +6,8 @@ from grassgeo.errors import NoUniqueGeodesicError
 from grassgeo.harness import random_rotation, random_subspace
 from grassgeo.metrics import NormSpec
 
-from conftest import hcurve_triple
-
-
-def block_pair(angles, q_extra=0):
-    p = len(angles)
-    n = 2 * p + q_extra
-    e = np.eye(n)
-    l_frame = e[:, :p]
-    m_cols = [np.cos(a) * e[:, j] + np.sin(a) * e[:, p + j] for j, a in enumerate(angles)]
-    return sub.Subspace(l_frame), sub.Subspace(np.column_stack(m_cols))
+import oracles
+from conftest import block_pair, hcurve_triple
 
 
 class TestNormSpec:
@@ -266,7 +258,7 @@ class TestTriangleCheck:
             rep = metrics.triangle_check(l, m, n, want_certificate=True)
             assert rep.certificate is not None
             target = rep.witness.apply(rep.theta) - rep.phi
-            rec = weyl.reconstruct_certificate(rep.certificate, rep.psi)
+            rec = oracles.reconstruct_certificate(rep.certificate, rep.psi)
             assert np.max(np.abs(rec - target)) <= 1e-12 * np.max(rep.psi)
 
     def test_large_p_certificates(self, rng):
@@ -278,7 +270,7 @@ class TestTriangleCheck:
                 weights = np.array([wt for wt, _ in rep.certificate])
                 assert np.all(weights >= 0) and abs(weights.sum() - 1) <= 1e-12
                 assert len(weights) <= p + 1
-                rec = weyl.reconstruct_certificate(rep.certificate, rep.psi)
+                rec = oracles.reconstruct_certificate(rep.certificate, rep.psi)
                 assert np.max(np.abs(rec - (rep.theta - rep.phi))) <= 1e-12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -326,6 +318,6 @@ class TestTriangleCheck:
                                              want_certificate=True)
                 assert rep.inside
                 assert rep.certificate is not None
-                rec = weyl.reconstruct_certificate(rep.certificate, rep.psi)
+                rec = oracles.reconstruct_certificate(rep.certificate, rep.psi)
                 bound = max(0.0, -rep.best_slack) + 1e-12 * np.max(rep.psi)
                 assert np.max(np.abs(rec - (rep.theta - rep.phi))) <= bound

@@ -7,17 +7,8 @@ from grassgeo import subspaces as sub
 from grassgeo.errors import DegenerateConfigurationError, DimensionMismatchError
 from grassgeo.harness import random_rotation, random_subspace, random_tangent
 
-from conftest import random_matrix, richardson_rate
-
-
-def block_pair(angles, q_extra=0):
-    """Canonical pair: L the first p coordinate axes, M rotated plane-by-plane."""
-    p = len(angles)
-    n = 2 * p + q_extra
-    e = np.eye(n)
-    l_frame = e[:, :p]
-    m_cols = [np.cos(a) * e[:, j] + np.sin(a) * e[:, p + j] for j, a in enumerate(angles)]
-    return sub.Subspace(l_frame), sub.Subspace(np.column_stack(m_cols))
+import oracles
+from conftest import block_pair, random_matrix, richardson_rate
 
 
 class TestJordanAngles:
@@ -74,62 +65,15 @@ class TestJordanAngles:
 
 
 class TestAngleRoutes:
-    def test_gram_identity_inputs(self):
-        ang = sub.angles_from_gram(np.eye(3), np.eye(3), np.eye(3))
-        assert np.allclose(ang, 0, atol=1e-7)
-
-    def test_gram_scale_invariance(self, rng):
-        a = random_matrix(rng, (7, 3))
-        b = random_matrix(rng, (7, 3))
-        u, v, w = a.T @ a, b.T @ b, a.T @ b
-        ang = sub.angles_from_gram(u, v, w)
-        c = np.diag([2.0, 0.5, 7.0])
-        ang2 = sub.angles_from_gram(c @ u @ c, v, c @ w)
-        assert np.allclose(ang, ang2, atol=1e-9)
-        # bases of norm 1e-8: Gram matrices near 1e-16 are not degenerate
-        ang3 = sub.angles_from_gram(1e-16 * u, 1e-16 * v, 1e-16 * w)
-        assert np.allclose(ang, ang3, rtol=0, atol=1e-12)
-
     @pytest.mark.parametrize("cplx", [False, True])
-    def test_three_routes_agree(self, rng, cplx):
+    def test_two_routes_agree(self, rng, cplx):
         for _ in range(15):
             a = random_matrix(rng, (8, 3), cplx)
             b = random_matrix(rng, (8, 3), cplx)
             l = sub.Subspace.from_spanning(a)
             m = sub.Subspace.from_spanning(b)
             ang = sub.jordan_angles(l, m)
-            assert np.allclose(ang, sub.principal_vectors(l, m).angles, atol=1e-9)
-            gram = sub.angles_from_gram(a.conj().T @ a, b.conj().T @ b, a.conj().T @ b)
-            assert np.allclose(ang, gram, atol=1e-8)
-
-    @pytest.mark.parametrize("cplx", [False, True])
-    def test_gram_prescribed_angles(self, rng, cplx):
-        # cosines near 1 carry the angle only to about sqrt(eps): a sweep of
-        # 12,000 draws reached 1.5e-7 with orthonormal bases and
-        # 2.3 sqrt(eps cond) with skewed ones
-        field = "complex" if cplx else "real"
-        eps = np.finfo(float).eps
-        choices = [0.0, 1e-12, 1e-9, 1e-8, 1e-7, 1e-5, 0.3, np.pi / 4, np.pi / 2]
-        for trial in range(150):
-            p = int(rng.integers(1, 9))
-            n = 2 * p + int(rng.integers(0, 4))
-            if trial % 2:
-                a = np.sort(rng.choice(choices, p))
-            else:
-                a = np.sort(rng.uniform(0, np.pi / 2, p))
-            frame = random_rotation(n, field, rng)
-            e, f = frame[:, :p], frame[:, p:2 * p]
-            lf = e @ random_rotation(p, field, rng)
-            mf = (e * np.cos(a) + f * np.sin(a)) @ random_rotation(p, field, rng)
-            ang = sub.angles_from_gram(lf.conj().T @ lf, mf.conj().T @ mf, lf.conj().T @ mf)
-            assert np.max(np.abs(ang - a)) <= 5e-7
-            skewed_l = lf @ (np.eye(p) + 0.5 * random_matrix(rng, (p, p)))
-            skewed_m = mf @ (np.eye(p) + 0.5 * random_matrix(rng, (p, p)))
-            u = skewed_l.conj().T @ skewed_l
-            v = skewed_m.conj().T @ skewed_m
-            ang = sub.angles_from_gram(u, v, skewed_l.conj().T @ skewed_m)
-            cond = max(np.linalg.cond(u), np.linalg.cond(v))
-            assert np.max(np.abs(ang - a)) <= 8 * np.sqrt(eps * cond)
+            assert np.allclose(ang, sub.principal_vectors(l, m).angles, rtol=0, atol=1e-12)
 
     def test_perpendicular(self):
         e = np.eye(4)
@@ -223,12 +167,12 @@ class TestPrincipalVectors:
 class TestMinimaxProbe:
     def test_top_value_equal_subspaces(self, rng):
         l = random_subspace(2, 3, "real", rng)
-        cert, viol = sub.minimax_probe(l, l, 1, trials=20, rng=rng)
+        cert, viol = oracles.minimax_probe(l, l, 1, trials=20, rng=rng)
         assert abs(cert - 1.0) < 1e-9
 
     def test_block_value(self):
         l, m = block_pair([0.3, 0.7])
-        cert, viol = sub.minimax_probe(l, m, 2, trials=50, rng=0)
+        cert, viol = oracles.minimax_probe(l, m, 2, trials=50, rng=0)
         assert abs(cert - np.cos(0.7)) < 1e-8
         assert viol <= 1e-8
 
@@ -236,7 +180,7 @@ class TestMinimaxProbe:
         l = random_subspace(3, 5, "real", rng)
         m = random_subspace(3, 5, "real", rng)
         for k in (1, 2, 3):
-            cert, viol = sub.minimax_probe(l, m, k, trials=200, rng=rng)
+            cert, viol = oracles.minimax_probe(l, m, k, trials=200, rng=rng)
             lam = np.cos(sub.jordan_angles(l, m))
             assert abs(cert - lam[k - 1]) < 1e-8
             assert viol <= 1e-8
@@ -244,7 +188,7 @@ class TestMinimaxProbe:
     def test_k_out_of_range(self, rng):
         l = random_subspace(2, 3, "real", rng)
         with pytest.raises(ValueError):
-            sub.minimax_probe(l, l, 3)
+            oracles.minimax_probe(l, l, 3)
 
 
 class TestTangent:

@@ -16,6 +16,7 @@ from grassgeo import cli, weyl
 from grassgeo.errors import DimensionMismatchError
 from grassgeo.harness import random_rotation
 
+import oracles
 from conftest import random_matrix
 
 finite = st.floats(min_value=-5, max_value=5, allow_nan=False)
@@ -95,7 +96,7 @@ def check_certificates(cases, group, p):
         assert len(res.certificate) <= p + (group == "signed")
         if group == "permutation":
             assert all(w.signs == (1,) * p for _, w in res.certificate)
-        rec = weyl.reconstruct_certificate(res.certificate, psi)
+        rec = oracles.reconstruct_certificate(res.certificate, psi)
         bound = 2 * max(0.0, -res.slack) + 1e-12 * np.max(np.abs(psi))
         assert np.max(np.abs(rec - x)) <= bound
 
@@ -224,7 +225,7 @@ class TestOrbitMembership:
             x = sum(w * elems[i].apply(psi) for w, i in zip(wts, idx))
             res = weyl.orbit_membership(x, psi, "signed", want_certificate=True)
             assert res.inside
-            rec = weyl.reconstruct_certificate(res.certificate, psi)
+            rec = oracles.reconstruct_certificate(res.certificate, psi)
             assert np.max(np.abs(rec - x)) <= 1e-12 * np.max(psi)
             total = sum(wt for wt, _ in res.certificate)
             assert abs(total - 1) <= 1e-12
