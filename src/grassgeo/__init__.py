@@ -14,16 +14,14 @@ from .errors import (  # noqa: F401
     NotPositiveDefiniteError,
     RankDeficiencyError,
 )
-from .kernel import SvdResult, cholesky, eig_hermitian, inv_sqrt_psd, qr_orthonormalize, singular_values, svd  # noqa: F401
+from .kernel import cholesky, eig_hermitian, inv_sqrt_psd, qr_orthonormalize, singular_values, svd  # noqa: F401
 from .metrics import (  # noqa: F401
     HCurve,
     NormSpec,
     TriangleReport,
     distance,
-    finsler_length,
     hcurve_between,
     hcurve_eval,
-    riemannian_distance,
     triangle_check,
 )
 from .noncompact import (  # noqa: F401

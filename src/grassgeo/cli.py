@@ -124,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--tol", type=float,
                         help="boundary tolerance for membership verdicts "
-                             f"(default {weyl.BOUNDARY_TOL:g}), or check tolerance for fuzz "
-                             f"(default {harness.TrialConfig.tolerance:g})")
+                             f"(default {weyl.BOUNDARY_TOL:g}), or the fuzz tolerance for checks "
+                             f"with no library verdict (default {harness.TrialConfig.tolerance:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("angles", help="Jordan angles between the spans of two matrices")

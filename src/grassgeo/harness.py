@@ -89,7 +89,9 @@ def random_ball_point(n: int, rng=None) -> BallPoint:
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """What to fuzz: which space, sizes, trial count, seed, tolerance, norms."""
+    """What to fuzz: which space, sizes, trial count, seed, tolerance, norms.
+
+    `tolerance` judges only symmetry, metric triangles and the posdef sum identity."""
 
     space: str
     p: int = 3
@@ -107,6 +109,11 @@ class TrialConfig:
             raise ValueError("trials must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.space.startswith("grassmann"):
+            if not 1 <= self.p <= self.q:
+                raise DimensionMismatchError(f"need 1 <= p <= q, got p={self.p}, q={self.q}")
+        elif self.n < 1:
+            raise DimensionMismatchError(f"need n >= 1, got n={self.n}")
 
     def norm_specs(self):
         return [NormSpec.builtin(label) for label in self.norms]
@@ -126,16 +133,16 @@ class TrialConfig:
 
 @dataclass
 class CheckStats:
-    """Aggregate outcome of one named check across all trials."""
+    """Aggregate outcome of one named check across all trials, as judged by the caller."""
 
     passed: int = 0
     failed: int = 0
     worst_slack: float = float("inf")
     failures: list = field(default_factory=list)
 
-    def record(self, slack: float, tolerance: float, dump: dict | None = None):
+    def record(self, slack: float, passed: bool, dump: dict | None = None):
         self.worst_slack = min(self.worst_slack, slack)
-        if slack >= -tolerance:
+        if passed:
             self.passed += 1
         else:
             self.failed += 1
@@ -209,12 +216,12 @@ def run_trials(config: TrialConfig) -> FuzzReport:
                 "frames": [_dump_matrix(s.frame) for s in (l, m, n)],
             }
             rep = metrics.triangle_check(l, m, n)
-            stat("triangle-membership").record(rep.best_slack, tol, dump)
+            stat("triangle-membership").record(rep.best_slack, rep.inside, dump)
             sym = -float(np.max(np.abs(rep.phi - subspaces.jordan_angles(m, l))))
-            stat("angle-symmetry").record(sym, tol, dump)
+            stat("angle-symmetry").record(sym, sym >= -tol, dump)
             for norm in norms:
                 margin = norm(rep.phi) + norm(rep.psi) - norm(rep.theta)
-                stat(f"metric-triangle-{norm.label()}").record(margin, tol, dump)
+                stat(f"metric-triangle-{norm.label()}").record(margin, margin >= -tol, dump)
         elif config.space == "posdef":
             l = random_posdef(config.n, "complex", rng)
             m = random_posdef(config.n, "complex", rng)
@@ -224,15 +231,15 @@ def run_trials(config: TrialConfig) -> FuzzReport:
                 "matrices": [_dump_matrix(x.matrix) for x in (l, m, n)],
             }
             rep = noncompact.posdef_triangle_check(l, m, n)
-            stat("posdef-triangle").record(rep.best_slack, tol, dump)
+            stat("posdef-triangle").record(rep.best_slack, rep.inside, dump)
             sum_gap = abs(float(np.sum(rep.theta) - np.sum(rep.phi) - np.sum(rep.psi)))
-            stat("posdef-sum-identity").record(-sum_gap, tol, dump)
+            stat("posdef-sum-identity").record(-sum_gap, sum_gap <= tol, dump)
         elif config.space == "hermitian-lidskii":
             x = random_hermitian(config.n, "complex", rng)
             z = random_hermitian(config.n, "complex", rng)
             dump = {"trial": trial, "matrices": [_dump_matrix(x), _dump_matrix(z)]}
             res = noncompact.lidskii_check(x, z)
-            stat("lidskii-membership").record(res.slack, tol, dump)
+            stat("lidskii-membership").record(res.slack, res.inside, dump)
         elif config.space == "ball":
             t = random_ball_point(config.n, rng)
             s = random_ball_point(config.n, rng)
@@ -242,12 +249,12 @@ def run_trials(config: TrialConfig) -> FuzzReport:
                 "matrices": [_dump_matrix(x.matrix) for x in (t, s, u)],
             }
             sigma = kernel.singular_values(noncompact.cross_ratio_matrix(t, s))
-            stat("ball-sigma-above-one").record(float(sigma[-1] - 1.0), 1e-9, dump)
+            stat("ball-sigma-above-one").record(float(sigma[-1] - 1.0), sigma[-1] - 1.0 >= -1e-9, dump)
             ts, su, tu = (noncompact.ball_angles(a, b) for a, b in ((t, s), (s, u), (t, u)))
             sym = -float(np.max(np.abs(ts - noncompact.ball_angles(s, t))))
-            stat("ball-angle-symmetry").record(sym, tol, dump)
+            stat("ball-angle-symmetry").record(sym, sym >= -tol, dump)
             for norm in norms:
                 margin = norm(ts) + norm(su) - norm(tu)
-                stat(f"ball-metric-triangle-{norm.label()}").record(margin, tol, dump)
+                stat(f"ball-metric-triangle-{norm.label()}").record(margin, margin >= -tol, dump)
 
     return FuzzReport(config=config, checks=checks, wall_time=time.perf_counter() - t0)

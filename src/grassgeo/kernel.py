@@ -13,8 +13,6 @@ decreasing (CS angles increasing) and raises the package's typed errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -54,31 +52,18 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD: A = left @ diag(singular_values) @ right.conj().T."""
+def svd(a: np.ndarray):
+    """Thin SVD (u, sigma, v): a = u diag(sigma) v*, sigma sorted decreasing.
 
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.conj().T
-
-
-def svd(a: np.ndarray) -> SvdResult:
-    """Thin singular value decomposition.
-
-    Singular values are returned sorted decreasing; both frames have
-    orthonormal columns.  Raises ConvergenceError if LAPACK does not
-    converge.
+    u and v have orthonormal columns.  Raises ConvergenceError if LAPACK
+    does not converge.
     """
     a = _check_finite(a)
     try:
         u, sigma, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge for shape {a.shape}") from exc
-    return SvdResult(u, sigma, vh.conj().T)
+    return u, sigma, vh.conj().T
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:

@@ -87,16 +87,8 @@ class NormSpec:
         return self.kind
 
     @classmethod
-    def l1(cls):
-        return cls("l1")
-
-    @classmethod
     def l2(cls):
         return cls("l2")
-
-    @classmethod
-    def linf(cls):
-        return cls("linf")
 
     @classmethod
     def kyfan(cls, k: int):
@@ -124,11 +116,6 @@ def distance(left: Subspace, right: Subspace, norm: NormSpec) -> float:
     if not isinstance(norm, NormSpec):
         raise ValueError("norm must be a NormSpec")
     return norm(jordan_angles(left, right))
-
-
-def riemannian_distance(left: Subspace, right: Subspace) -> float:
-    """Geodesic distance of the invariant Riemannian metric (l2 of angles)."""
-    return distance(left, right, NormSpec.l2())
 
 
 @dataclass(frozen=True)
@@ -179,22 +166,6 @@ def hcurve_between(left: Subspace, right: Subspace) -> HCurve:
             f"top angle {pair.angles[-1]:.6f} too close to pi/2 for a unique joining curve"
         )
     return HCurve(e_frame=pair.e_basis, f_frame=pair.g_basis, a=pair.angles)
-
-
-def finsler_length(path, norm: NormSpec) -> float:
-    """Chordal length of a polygonal path of subspaces under a norm.
-
-    Sum of the norm of the Jordan-angle vector over consecutive pairs;
-    refining the partition of a smooth path converges to its length, and
-    is exact on H-curves at any partition.
-    """
-    path = list(path)
-    if not path:
-        raise ValueError("empty path")
-    total = 0.0
-    for a, b in zip(path[:-1], path[1:]):
-        total += norm(jordan_angles(a, b))
-    return total
 
 
 @dataclass(frozen=True)

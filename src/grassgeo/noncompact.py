@@ -54,8 +54,7 @@ class BallPoint:
             raise ValueError("matrix is not symmetric (T = T^t) within tolerance")
         t = (t + t.T) / 2.0
         # T = U S V*, so T T* = U S^2 U*; 1 - s^2 is read from s, not from rounded T T*
-        f = kernel.svd(t)
-        u, s = f.left, f.singular_values
+        u, s, _ = kernel.svd(t)
         if s[0] > 1.0 - BALL_NORM_MARGIN:
             raise ValueError(f"operator norm {s[0]:.12f} is not strictly below 1")
         object.__setattr__(self, "matrix", t)

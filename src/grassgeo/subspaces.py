@@ -66,24 +66,20 @@ class Subspace:
         """Subspace spanned by the (full-column-rank) given columns."""
         return cls(kernel.qr_orthonormalize(np.asarray(columns)))
 
-    def projector(self) -> np.ndarray:
-        return self.frame @ self.frame.conj().T
-
 
 @dataclass(frozen=True)
 class PrincipalPair:
     """Orthonormal bases of two subspaces diagonalizing their cross-Gram.
 
     Column j of `e_basis` pairs with column j of `f_basis`;
-    <e_i, f_j> = cosines[j] * delta_ij with `angles` increasing and
-    cosines = cos(angles).  The columns of (e_basis, g_basis) are jointly
-    orthonormal, g_basis lies in the complement of the left subspace, and
+    <e_i, f_j> = cos(angles[j]) * delta_ij with `angles` increasing.  The
+    columns of (e_basis, g_basis) are jointly orthonormal, g_basis lies in
+    the complement of the left subspace, and
     f_j = cos(angles[j]) e_j + sin(angles[j]) g_j.
     """
 
     e_basis: np.ndarray
     f_basis: np.ndarray
-    cosines: np.ndarray
     angles: np.ndarray
     g_basis: np.ndarray
 
@@ -184,7 +180,7 @@ def principal_vectors(left: Subspace, right: Subspace) -> PrincipalPair:
     e = q[:, :p] @ u1
     g = q[:, p:] @ u2
     f = e * np.cos(angles) + g * np.sin(angles)
-    return PrincipalPair(e, f, np.cos(angles), angles, g)
+    return PrincipalPair(e, f, angles, g)
 
 
 def tangent_invariants(h: TangentVector) -> np.ndarray:
@@ -201,9 +197,8 @@ def geodesic_transport(base: Subspace, h: TangentVector, eps: float) -> Subspace
     """
     if h.base is not base and not np.array_equal(h.base.frame, base.frame):
         raise DimensionMismatchError("tangent vector is not attached to the given base")
-    res = kernel.svd(h.matrix)
     # thin factors: matrix = U diag(sigma) V*, with V p x p
-    u, sigma, v = res.left, res.singular_values, res.right
+    u, sigma, v = kernel.svd(h.matrix)
     fv = base.frame @ v
     cu = h.complement @ u
     new_frame = fv * np.cos(sigma * eps) + cu * np.sin(sigma * eps)

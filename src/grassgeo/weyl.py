@@ -360,7 +360,7 @@ def quasistochastic_decompose(a: np.ndarray):
 
 def fan_ky_diagonal_check(a: np.ndarray, boundary_tol: float = BOUNDARY_TOL) -> MembershipResult:
     """Diagonal of a real p x q matrix against the orbit hull of its singular values."""
-    a = np.asarray(a, dtype=float)
+    a = kernel._check_finite(np.asarray(a, dtype=float))
     p, q = a.shape
     if p > q:
         raise DimensionMismatchError(f"expected p <= q, got {a.shape}")

@@ -17,6 +17,12 @@ def random_matrix(rng, shape, cplx=False):
     return a
 
 
+def projector(subspace):
+    """Orthogonal projector onto a subspace: f f* for its orthonormal frame f."""
+    f = subspace.frame
+    return f @ f.conj().T
+
+
 def block_pair(angles, q_extra=0):
     """Canonical pair: L the first p coordinate axes, M rotated plane-by-plane."""
     p = len(angles)

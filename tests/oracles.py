@@ -7,7 +7,7 @@ check a library result against an independent characterization of it.
 import numpy as np
 
 from grassgeo import kernel
-from grassgeo.subspaces import Subspace, principal_vectors
+from grassgeo.subspaces import Subspace, jordan_angles, principal_vectors
 
 
 def minimax_probe(
@@ -38,7 +38,7 @@ def minimax_probe(
         return float(kernel.singular_values(right.frame.conj().T @ p_frame)[-1])
 
     certified = inner_value(pair.e_basis[:, :k])
-    lam_k = float(pair.cosines[k - 1])
+    lam_k = float(np.cos(pair.angles[k - 1]))
     worst = -np.inf
     for _ in range(trials):
         coeff = rng.standard_normal((p, k))
@@ -56,3 +56,19 @@ def reconstruct_certificate(certificate, psi: np.ndarray) -> np.ndarray:
     for weight, w in certificate:
         out = out + weight * w.apply(psi)
     return out
+
+
+def finsler_length(path, norm) -> float:
+    """Chordal length of a polygonal path of subspaces under a norm.
+
+    Sum of the norm of the Jordan-angle vector over consecutive pairs;
+    refining the partition of a smooth path converges to its length, and
+    is exact on H-curves at any partition.
+    """
+    path = list(path)
+    if not path:
+        raise ValueError("empty path")
+    total = 0.0
+    for a, b in zip(path[:-1], path[1:]):
+        total += norm(jordan_angles(a, b))
+    return total

@@ -248,6 +248,20 @@ class TestExitCodes:
     def test_help_exits_cleanly(self, capsys):
         assert cli.dispatch(["--help"]) == 0
 
+    @pytest.mark.parametrize("space, sizes", [
+        ("grassmann-real", ["--p", "0"]),
+        ("grassmann-complex", ["--p", "5", "--q", "4"]),
+        ("posdef", ["--n", "0"]),
+        ("hermitian-lidskii", ["--n", "0"]),
+        ("ball", ["--n", "0"]),
+    ], ids=["grassmann-real", "grassmann-complex", "posdef", "hermitian-lidskii", "ball"])
+    def test_fuzz_size_it_cannot_draw_is_one(self, capsys, space, sizes):
+        code = cli.dispatch(["fuzz", "--space", space, *sizes, "--seed", "0", "--trials", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: need ")
+        assert "Traceback" not in err
+
 
 class TestSharedParser:
     def test_calls_do_not_leak_into_each_other(self, tmp_path, capsys):

@@ -1,10 +1,32 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from grassgeo import harness, metrics, noncompact
+from grassgeo.errors import DimensionMismatchError
 from grassgeo.harness import FuzzReport, TrialConfig
+from grassgeo.noncompact import PosDefPoint
+from grassgeo.subspaces import Subspace, jordan_angles
+
+# sizes that each space cannot draw from: p > q or p = 0 for the Grassmannians, n = 0 otherwise
+UNDRAWABLE = {
+    "grassmann-real": {"p": 0},
+    "grassmann-complex": {"p": 5, "q": 4},
+    "posdef": {"n": 0},
+    "hermitian-lidskii": {"n": 0},
+    "ball": {"n": 0},
+}
+
+
+def load_matrix(dumped):
+    """Inverse of the harness's matrix dump: a nested list, or {"re", "im"} lists."""
+    if isinstance(dumped, dict):
+        m = np.empty(np.shape(dumped["re"]), dtype=complex)
+        m.real, m.imag = dumped["re"], dumped["im"]
+        return m
+    return np.asarray(dumped, dtype=float)
 
 
 class TestGenerators:
@@ -57,6 +79,11 @@ class TestTrialConfig:
         cfg = TrialConfig(space="ball", norms=("l1", "kyfan3"))
         specs = cfg.norm_specs()
         assert [s.label() for s in specs] == ["l1", "kyfan3"]
+
+    @pytest.mark.parametrize("space", harness.SPACES)
+    def test_rejects_sizes_it_cannot_draw(self, space):
+        with pytest.raises(DimensionMismatchError):
+            TrialConfig(space=space, **UNDRAWABLE[space])
 
     def test_to_dict_round_trip(self):
         cfg = TrialConfig(space="posdef", n=5, trials=7, seed=3)
@@ -135,13 +162,53 @@ class TestRunTrials:
     def test_failure_dump_replayable(self):
         cfg = TrialConfig(space="grassmann-real", p=2, q=3, trials=5, seed=5,
                           tolerance=1e-17)
-        report = harness.run_trials(cfg)
-        stats = report.checks["angle-symmetry"]
-        if not stats.failures:
-            pytest.skip("no symmetry failures at this seed")
-        dump = stats.failures[0]
-        frames = [np.asarray(f) for f in dump["frames"]]
-        assert frames[0].shape == (5, 2)
+        stats = harness.run_trials(cfg).checks["angle-symmetry"]
+        assert stats.failures
+        for dump in stats.failures:
+            frames = [load_matrix(f) for f in dump["frames"]]
+            rng = harness.trial_rng(cfg.seed, dump["trial"])
+            for frame in frames:
+                assert np.array_equal(harness.random_subspace(cfg.p, cfg.q, "real", rng).frame, frame)
+            l, m, _ = (Subspace(f) for f in frames)
+            assert np.max(np.abs(jordan_angles(l, m) - jordan_angles(m, l))) > cfg.tolerance
+
+    def test_posdef_failure_dump_replayable(self):
+        # complex matrices are dumped as {"re", "im"}; the replay reads them back exactly
+        cfg = TrialConfig(space="posdef", n=3, trials=5, seed=5, tolerance=1e-17)
+        stats = harness.run_trials(cfg).checks["posdef-sum-identity"]
+        assert stats.failures
+        for dump in stats.failures:
+            mats = [load_matrix(x) for x in dump["matrices"]]
+            rng = harness.trial_rng(cfg.seed, dump["trial"])
+            for mat in mats:
+                assert np.array_equal(harness.random_posdef(cfg.n, "complex", rng).matrix, mat)
+            rep = noncompact.posdef_triangle_check(*(PosDefPoint(x) for x in mats))
+            assert abs(np.sum(rep.theta) - np.sum(rep.phi) - np.sum(rep.psi)) > cfg.tolerance
+
+    @pytest.mark.parametrize("space, check, owner, name, slack", [
+        ("grassmann-real", "triangle-membership", metrics, "triangle_check", "best_slack"),
+        ("posdef", "posdef-triangle", noncompact, "posdef_triangle_check", "best_slack"),
+        ("hermitian-lidskii", "lidskii-membership", noncompact, "lidskii_check", "slack"),
+    ], ids=["grassmann-real", "posdef", "hermitian-lidskii"])
+    def test_membership_checks_take_the_library_verdict(self, monkeypatch, space, check,
+                                                        owner, name, slack):
+        # a slack between the library's boundary tolerance and the fuzz tolerance
+        # reads outside to the library, so the fuzz check must fail it too
+        real = getattr(owner, name)
+        calls = []
+
+        def outside_once(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) > 1:
+                return res
+            return dataclasses.replace(res, inside=False, **{slack: -5e-9})
+
+        monkeypatch.setattr(owner, name, outside_once)
+        stats = harness.run_trials(TrialConfig(space=space, trials=3, seed=0)).checks[check]
+        assert (stats.passed, stats.failed) == (2, 1)
+        assert stats.worst_slack == -5e-9
+        assert stats.failures[0]["trial"] == 0
 
 
 class TestFuzzReport:
@@ -149,8 +216,8 @@ class TestFuzzReport:
         from grassgeo.harness import CheckStats
 
         good = CheckStats()
-        good.record(0.5, 1e-8)
+        good.record(0.5, True)
         bad = CheckStats()
-        bad.record(-1.0, 1e-8)
+        bad.record(-1.0, False)
         assert FuzzReport(TrialConfig(space="ball"), {"a": good}).all_passed
         assert not FuzzReport(TrialConfig(space="ball"), {"a": good, "b": bad}).all_passed

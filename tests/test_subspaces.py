@@ -8,7 +8,7 @@ from grassgeo.errors import DegenerateConfigurationError, DimensionMismatchError
 from grassgeo.harness import random_rotation, random_subspace, random_tangent
 
 import oracles
-from conftest import block_pair, random_matrix, richardson_rate
+from conftest import block_pair, projector, random_matrix, richardson_rate
 
 
 class TestJordanAngles:
@@ -86,12 +86,12 @@ class TestPrincipalVectors:
     def test_equal_subspaces(self, rng):
         l = random_subspace(2, 3, "real", rng)
         pair = sub.principal_vectors(l, l)
-        assert np.allclose(pair.cosines, 1, atol=1e-12)
+        assert np.allclose(np.cos(pair.angles), 1, atol=1e-12)
 
     def test_block_construction(self):
         l, m = block_pair([0.3, 0.7])
         pair = sub.principal_vectors(l, m)
-        assert np.allclose(pair.cosines, [np.cos(0.3), np.cos(0.7)], atol=1e-12)
+        assert np.allclose(np.cos(pair.angles), [np.cos(0.3), np.cos(0.7)], atol=1e-12)
 
     @pytest.mark.parametrize("cplx", [False, True])
     def test_diagonality_invariant(self, rng, cplx):
@@ -101,7 +101,7 @@ class TestPrincipalVectors:
             m = random_subspace(3, 5, field, rng)
             pair = sub.principal_vectors(l, m)
             gram = pair.e_basis.conj().T @ pair.f_basis
-            assert np.linalg.norm(gram - np.diag(pair.cosines)) < 1e-9
+            assert np.linalg.norm(gram - np.diag(np.cos(pair.angles))) < 1e-9
             g = pair.g_basis
             assert np.linalg.norm(g.conj().T @ g - np.eye(3)) < 1e-12
             assert np.linalg.norm(l.frame.conj().T @ g) < 1e-12
@@ -134,8 +134,8 @@ class TestPrincipalVectors:
             pair = sub.principal_vectors(l, m)
             combined = np.hstack([pair.e_basis, pair.g_basis])
             assert np.linalg.norm(combined.conj().T @ combined - np.eye(combined.shape[1])) < 1e-12
-            assert np.linalg.norm(pair.e_basis @ pair.e_basis.conj().T - l.projector()) < 1e-12
-            assert np.linalg.norm(pair.f_basis @ pair.f_basis.conj().T - m.projector()) < 1e-12
+            assert np.linalg.norm(pair.e_basis @ pair.e_basis.conj().T - projector(l)) < 1e-12
+            assert np.linalg.norm(pair.f_basis @ pair.f_basis.conj().T - projector(m)) < 1e-12
             if a is not None:
                 assert np.max(np.abs(pair.angles - a)) < 1e-12
 
@@ -158,8 +158,8 @@ class TestPrincipalVectors:
             pair = sub.principal_vectors(l, m)
             combined = np.hstack([pair.e_basis, pair.g_basis])
             assert np.linalg.norm(combined.conj().T @ combined - np.eye(6)) < 1e-12
-            assert np.linalg.norm(pair.e_basis @ pair.e_basis.conj().T - l.projector()) < 1e-12
-            assert np.linalg.norm(pair.f_basis @ pair.f_basis.conj().T - m.projector()) < 1e-12
+            assert np.linalg.norm(pair.e_basis @ pair.e_basis.conj().T - projector(l)) < 1e-12
+            assert np.linalg.norm(pair.f_basis @ pair.f_basis.conj().T - projector(m)) < 1e-12
             assert np.max(np.abs(pair.angles - a)) < 1e-12
         assert seen == [(6, 6)] * 3
 
@@ -219,7 +219,7 @@ class TestGeodesicTransport:
         base = random_subspace(2, 4, "real", rng)
         h = random_tangent(base, rng)
         out = sub.geodesic_transport(base, h, 0.0)
-        assert np.linalg.norm(out.projector() - base.projector()) < 1e-12
+        assert np.linalg.norm(projector(out) - projector(base)) < 1e-12
 
     def test_single_plane_rotation(self, rng):
         base = random_subspace(2, 3, "real", rng)
@@ -254,7 +254,7 @@ class TestAngleRate:
         # tangent rotating each principal plane at its own speed
         rates = np.array([0.25, -0.6])
         pair = sub.principal_vectors(l, m)
-        psi = np.arccos(np.clip(pair.cosines, 0, 1))
+        psi = pair.angles
         r_cols = np.column_stack(
             [
                 (pair.f_basis[:, j] * np.cos(psi[j]) - pair.e_basis[:, j]) / np.sin(psi[j])

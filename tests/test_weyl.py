@@ -547,3 +547,8 @@ class TestFanKyDiagonal:
         for _ in range(200):
             res = weyl.fan_ky_diagonal_check(random_matrix(rng, (4, 6)))
             assert res.inside and res.slack >= -1e-9
+
+    @pytest.mark.parametrize("a", [np.array([1.0, 2.0]), np.ones((2, 2, 2))], ids=["1d", "3d"])
+    def test_rejects_input_that_is_not_2d(self, a):
+        with pytest.raises(DimensionMismatchError):
+            weyl.fan_ky_diagonal_check(a)
